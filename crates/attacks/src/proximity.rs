@@ -17,7 +17,7 @@
 //! against connections committed so far.
 
 use crate::grid::CellGrid;
-use sm_exec::{Budget, CancelToken, Pool};
+use sm_exec::{Budget, Pool};
 use sm_layout::{Placement, Point, SplitLayout, VpinSide};
 use sm_netlist::graph::{would_create_cycle_with, ReachScratch};
 use sm_netlist::{Netlist, Sink};
@@ -267,71 +267,37 @@ pub fn network_flow_attack(
     split: &SplitLayout,
     config: &ProximityConfig,
 ) -> AttackOutcome {
-    network_flow_attack_cancellable(
+    network_flow_attack_budgeted(
         golden,
         placed,
         placement,
         split,
         config,
-        &CancelToken::new(),
+        &Budget::on_pool(Arc::clone(Pool::global()), 1),
+        &mut sm_exec::phase::Recorder::new(),
     )
     .expect("a fresh token never cancels")
 }
 
-/// [`network_flow_attack`] with a cooperative [`CancelToken`], consulted
-/// at the attack's deterministic phase boundaries — before the candidate
-/// scoring pass, between the min-cost-flow engine's scaling phases (see
+/// [`network_flow_attack`] running inside an explicit [`Budget`]:
+/// candidate scoring fans out over the budget's pool (never exceeding its
+/// thread allotment), and per-phase wall-clock spans are recorded into
+/// `rec` — `attack-candidates` (instance build + candidate scoring),
+/// `attack-mcmf` (the min-cost-flow solve), `attack-assign` (assignment
+/// read-off + netlist reconstruction) and `attack-eval` (OER/HD
+/// simulation). Campaigns pass each job's split budget here, so
+/// attack-internal parallelism shares the process-wide worker ceiling.
+///
+/// The budget's [`CancelToken`](sm_exec::CancelToken) is consulted at the attack's
+/// deterministic phase boundaries — before the candidate scoring pass,
+/// between the min-cost-flow engine's scaling phases (see
 /// [`MinCostFlow::run_interruptible`](crate::mcmf::MinCostFlow::run_interruptible)),
 /// and before the OER/HD evaluation. A deadlined superblue-scale job
 /// therefore stops within one phase of its deadline instead of
-/// overshooting by the whole attack; an attack that *completes* is
-/// bit-identical whether or not the token was armed. Returns `None`
-/// once cancelled.
-pub fn network_flow_attack_cancellable(
-    golden: &Netlist,
-    placed: &Netlist,
-    placement: &Placement,
-    split: &SplitLayout,
-    config: &ProximityConfig,
-    cancel: &CancelToken,
-) -> Option<AttackOutcome> {
-    network_flow_attack_traced(
-        golden,
-        placed,
-        placement,
-        split,
-        config,
-        cancel,
-        &mut crate::phase::Recorder::new(),
-    )
-}
-
-/// [`network_flow_attack_cancellable`] that additionally records
-/// per-phase wall-clock spans into `rec` — `attack-candidates`
-/// (instance build + candidate scoring), `attack-mcmf` (the min-cost-flow
-/// solve), `attack-assign` (assignment read-off + netlist
-/// reconstruction) and `attack-eval` (OER/HD simulation). Recording is
-/// observability only: results are bit-identical with or without it.
-#[allow(clippy::too_many_arguments)]
-pub fn network_flow_attack_traced(
-    golden: &Netlist,
-    placed: &Netlist,
-    placement: &Placement,
-    split: &SplitLayout,
-    config: &ProximityConfig,
-    cancel: &CancelToken,
-    rec: &mut crate::phase::Recorder,
-) -> Option<AttackOutcome> {
-    let exec = Budget::on_pool(Arc::clone(Pool::global()), 1).with_cancel(cancel.clone());
-    network_flow_attack_budgeted(golden, placed, placement, split, config, &exec, rec)
-}
-
-/// [`network_flow_attack_traced`] running inside an explicit
-/// [`Budget`]: candidate scoring fans out over the budget's pool
-/// (never exceeding its thread allotment) and the budget's token is the
-/// cancellation source. Campaigns pass each job's split budget here, so
-/// attack-internal parallelism shares the process-wide worker ceiling.
-/// Results are bit-identical at any thread count.
+/// overshooting by the whole attack. Returns `None` once cancelled.
+///
+/// Neither the thread count, an armed token nor the recording changes
+/// the result: an attack that completes is bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub fn network_flow_attack_budgeted(
     golden: &Netlist,
@@ -340,7 +306,7 @@ pub fn network_flow_attack_budgeted(
     split: &SplitLayout,
     config: &ProximityConfig,
     exec: &Budget,
-    rec: &mut crate::phase::Recorder,
+    rec: &mut sm_exec::phase::Recorder,
 ) -> Option<AttackOutcome> {
     let cancel = exec.cancel_token();
     if cancel.is_cancelled() {
@@ -706,9 +672,11 @@ mod tests {
     use super::*;
     use sm_core::baselines::original_layout;
     use sm_core::flow::{protect, FlowConfig};
+    use sm_exec::CancelToken;
     use sm_layout::split_layout;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
+    use std::time::Duration;
 
     fn c17() -> Netlist {
         parse_bench("c17", C17_BENCH, &Library::nangate45()).unwrap()
@@ -768,19 +736,26 @@ mod tests {
         let base = original_layout(&n, 0.6, 1);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
         let cfg = ProximityConfig::default();
-        // A pre-cancelled token stops the attack at its first phase
-        // boundary with no partial result.
+        let run = |exec: &Budget| {
+            network_flow_attack_budgeted(
+                &n,
+                &n,
+                &base.placement,
+                &split,
+                &cfg,
+                exec,
+                &mut sm_exec::phase::Recorder::new(),
+            )
+        };
+        // A budget whose token is pre-cancelled stops the attack at its
+        // first phase boundary with no partial result.
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert!(
-            network_flow_attack_cancellable(&n, &n, &base.placement, &split, &cfg, &cancelled)
-                .is_none()
-        );
-        // An armed-but-never-fired token must not perturb the result:
-        // the cancellable path and the plain path agree exactly.
-        let armed = CancelToken::new();
-        let via_token =
-            network_flow_attack_cancellable(&n, &n, &base.placement, &split, &cfg, &armed);
+        assert!(run(&Budget::with_threads(Some(2)).with_cancel(cancelled)).is_none());
+        // An armed-but-never-fired deadline must not perturb the result:
+        // the budgeted path and the plain path agree exactly.
+        let armed = Budget::with_threads(Some(2)).with_deadline_in(Duration::from_secs(3600));
+        let via_token = run(&armed);
         let plain = network_flow_attack(&n, &n, &base.placement, &split, &cfg);
         match via_token {
             None => panic!("token never fired"),

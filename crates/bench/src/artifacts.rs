@@ -1,10 +1,10 @@
 //! The nine printed artifacts (Tables 1–6, Figs. 4–6), as functions of a
 //! [`Session`].
 //!
-//! The artifact binaries and `smctl run` are thin wrappers around these:
-//! bundles come from the session's engine cache (built in parallel,
-//! built once per benchmark), printing stays here so `table4_…` and
-//! `smctl run table4` emit byte-identical output.
+//! `smctl run <artifact>` is a thin wrapper around these: bundles come
+//! from the session's engine cache (built in parallel, built once per
+//! benchmark) and printing stays here, so `smctl run table4` and the
+//! same table inside `smctl run all` emit byte-identical output.
 
 use crate::experiments::{fig4, fig5, fig6, table1, table2, table3, table6, Security};
 use crate::quotes;
@@ -96,7 +96,7 @@ pub fn run_table3(session: &Session) {
         "benchmark", "layout", "#vpins", "E[LS]@15", "E[LS]@30", "E[LS]@45", "match"
     );
     let runs = session.superblue_runs();
-    let rows = session.executor().map(&runs, |_, run| table3(run));
+    let rows = session.budget().map(&runs, |_, run| table3(run));
     for row in rows {
         for (label, rep) in [
             ("Original", &row.original),

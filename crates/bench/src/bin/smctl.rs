@@ -137,10 +137,10 @@ SWEEP AXES:
                    Unset, each seed builds its own bundle (historical
                    reports stay byte-identical)
     --jobs         run only these job indices of the expansion, e.g.
-                   `0,2,5..9` (the report stays mergeable via resume)
+                   `0,2,5..9` (finish the partial report with resume)
     --shard K/N    run shard K of N (1-based): job indices K-1, K-1+N, …
                    of the expansion — sugar over --jobs for multi-process
-                   sweeps; merge the partial reports with `smctl resume`
+                   sweeps; combine the shard reports with `smctl merge`
     --timings      include wall-clock + cache diagnostics (report is then
                    no longer byte-identical across runs)
 
@@ -506,7 +506,7 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
         i += 1;
     }
     if spec.benchmarks.is_empty() {
-        // Same semantics as the artifact binaries: full ISCAS selection
+        // Same semantics as `smctl run`: full ISCAS selection
         // by default, the c432/c880 pair under `--quick`.
         spec.benchmarks = iscas_selection(opts.quick)
             .iter()
@@ -517,8 +517,8 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
     if let Some((k, n)) = shard {
         // Sugar over --jobs: shard K of N takes every Nth job starting
         // at K-1. Round-robin keeps each shard's mix of benchmarks and
-        // attacks balanced; the partial reports merge byte-stably via
-        // `smctl resume`.
+        // attacks balanced; the shard reports combine byte-stably via
+        // `smctl merge`.
         if job_filter.is_some() {
             return Err("--shard and --jobs are mutually exclusive".into());
         }

@@ -8,22 +8,22 @@
 //! artifacts ([`artifacts`]) and the CLI wiring ([`session`],
 //! `src/bin/smctl.rs`).
 //!
-//! | artifact | binary | module |
+//! | artifact | `smctl run` name | module |
 //! |----------|--------|--------|
-//! | Table 1  | `table1_distances` | `experiments::table1` |
-//! | Table 2  | `table2_vias` | `experiments::table2` |
-//! | Table 3  | `table3_crouting` | `experiments::table3` |
-//! | Table 4  | `table4_placement_attack` | `experiments::security_row` |
-//! | Table 5  | `table5_routing_attack` | `experiments::security_row` |
-//! | Table 6  | `table6_via_comparison` | `experiments::table6` |
-//! | Fig. 4   | `fig4_distance_distribution` | `experiments::fig4` |
-//! | Fig. 5   | `fig5_wirelength_layers` | `experiments::fig5` |
-//! | Fig. 6   | `fig6_ppa` | `experiments::fig6` |
+//! | Table 1  | `table1` | `experiments::table1` |
+//! | Table 2  | `table2` | `experiments::table2` |
+//! | Table 3  | `table3` | `experiments::table3` |
+//! | Table 4  | `table4` | `experiments::security_row` |
+//! | Table 5  | `table5` | `experiments::security_row` |
+//! | Table 6  | `table6` | `experiments::table6` |
+//! | Fig. 4   | `fig4` | `experiments::fig4` |
+//! | Fig. 5   | `fig5` | `experiments::fig5` |
+//! | Fig. 6   | `fig6` | `experiments::fig6` |
 //!
-//! Every binary accepts `--seed N`, `--scale N` (superblue down-scaling),
-//! `--threads N` and `--quick` (smaller benchmark selection); `=`-forms
-//! (`--seed=N`) work too. `smctl run all` regenerates everything through
-//! one shared bundle cache.
+//! `smctl run <artifact>` accepts `--seed N`, `--scale N` (superblue
+//! down-scaling), `--threads N` and `--quick` (smaller benchmark
+//! selection); `=`-forms (`--seed=N`) work too. `smctl run all`
+//! regenerates everything through one shared bundle cache.
 
 #![warn(missing_docs)]
 
@@ -39,7 +39,8 @@ pub mod suite;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum StoreMode {
     /// No preference given: the caller decides (`smctl run`/`sweep`
-    /// default to `.sm-store/`, artifact binaries to no store).
+    /// default to `.sm-store/`, a bare [`session::Session`] to no
+    /// store).
     #[default]
     Auto,
     /// `--no-store`: run without persistence.
@@ -48,7 +49,7 @@ pub enum StoreMode {
     At(String),
 }
 
-/// Command-line options shared by all experiment binaries.
+/// Command-line options shared by the `smctl` subcommands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
     /// Master seed.
@@ -91,27 +92,13 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses `--seed N`, `--scale N`, `--threads N` (plus their
-    /// `--flag=N` forms) and `--quick` from process arguments; prints the
-    /// error and exits with status 2 on malformed input.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_slice(&args) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses options from an argument slice (testable core of
-    /// [`RunOptions::from_args`]).
+    /// Parses `--seed N`, `--scale N`, `--threads N`, `--quick` and the
+    /// store/fault flags from an argument slice.
     ///
     /// Both `--seed 7` and `--seed=7` are accepted. Malformed or missing
     /// values are **rejected**, not silently defaulted. Unknown flags are
-    /// ignored so artifact binaries can share argument lists with
-    /// `smctl`.
+    /// ignored so every `smctl` subcommand can share one argument list
+    /// with its own flags.
     pub fn from_slice(args: &[String]) -> Result<Self, String> {
         let mut opts = RunOptions::default();
         let mut i = 0;

@@ -32,17 +32,18 @@
 //! stage exceeds `factor ×` its committed-baseline time (plus a small
 //! absolute slack so micro-stages don't trip on scheduler noise).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use sm_attacks::crouting::{crouting_attack_traced, CroutingConfig};
-use sm_attacks::proximity::{network_flow_attack_traced, ProximityConfig};
+use sm_attacks::proximity::{network_flow_attack_budgeted, ProximityConfig};
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
-use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{read_events, Journal};
 use sm_engine::report::Json;
 use sm_engine::store::{ArtifactStore, Stage};
-use sm_engine::ArtifactCache;
+use sm_engine::{ArtifactCache, Budget, Pool};
+use sm_exec::phase::Recorder;
 use sm_layout::{split_layout, Floorplan, PlacementEngine, RouteOptions, Router, Technology};
 use sm_netlist::Netlist;
 
@@ -235,15 +236,15 @@ fn layout_stages(
                 let mut score_wall = f64::INFINITY;
                 let mut outcome = None;
                 for _ in 0..min_of.max(1) {
-                    let mut rec = sm_attacks::phase::Recorder::new();
+                    let mut rec = Recorder::new();
                     let (out, wall) = timed(|| {
-                        network_flow_attack_traced(
+                        network_flow_attack_budgeted(
                             &netlist,
                             &netlist,
                             &placement,
                             &split,
                             &ProximityConfig::default(),
-                            &sm_engine::exec::CancelToken::new(),
+                            &Budget::on_pool(Arc::clone(Pool::global()), 1),
                             &mut rec,
                         )
                         .expect("a fresh token never cancels")
@@ -271,7 +272,7 @@ fn layout_stages(
                 let mut grid_wall = f64::INFINITY;
                 let mut report = None;
                 for _ in 0..min_of.max(1) {
-                    let mut rec = sm_attacks::phase::Recorder::new();
+                    let mut rec = Recorder::new();
                     let (rep, wall) = timed(|| {
                         crouting_attack_traced(
                             &netlist,

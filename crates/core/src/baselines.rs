@@ -14,7 +14,9 @@
 //! All functions are deterministic per seed and return a
 //! [`BaselineLayout`] directly comparable with the protected design.
 //!
-//! The `_with` variants run inside an explicit [`sm_exec::Budget`]. If
+//! The `_traced` and `_with` variants run inside an explicit
+//! [`sm_exec::Budget`] (the `_traced` ones also record placement phase
+//! spans into a [`sm_exec::phase::Recorder`]). If
 //! the budget's token fires mid-build they abort at the next
 //! result-neutral checkpoint by unwinding with [`sm_exec::Cancelled`]
 //! (see [`sm_exec::abort_cancelled`]) — the campaign engine's job
@@ -32,29 +34,19 @@ use sm_netlist::{NetId, Netlist};
 /// Places and routes the plain, unprotected netlist (the "Original" rows
 /// of the paper's tables) with the process-global thread budget.
 pub fn original_layout(netlist: &Netlist, utilization: f64, seed: u64) -> BaselineLayout {
-    original_layout_with(netlist, utilization, seed, &sm_exec::Budget::default())
-}
-
-/// [`original_layout`], with placement's parallel inner work confined to
-/// `exec` (bit-identical output; the budget bounds worker threads only).
-pub fn original_layout_with(
-    netlist: &Netlist,
-    utilization: f64,
-    seed: u64,
-    exec: &sm_exec::Budget,
-) -> BaselineLayout {
-    layout_with_options(
+    original_layout_traced(
         netlist,
         utilization,
         seed,
-        &RouteOptions::default(),
-        exec,
-        None,
+        &sm_exec::Budget::default(),
+        &mut sm_exec::phase::Recorder::new(),
     )
 }
 
-/// [`original_layout_with`], recording placement phase spans into `rec`
-/// (`original-place` / `original-place-fm`). Byte-identical output.
+/// [`original_layout`], with placement's parallel inner work confined to
+/// `exec` and placement phase spans recorded into `rec`
+/// (`original-place` / `original-place-fm`). The budget bounds worker
+/// threads only and recording is side-band: the output is bit-identical.
 pub fn original_layout_traced(
     netlist: &Netlist,
     utilization: f64,
@@ -85,34 +77,20 @@ pub fn naive_lifting(
     utilization: f64,
     seed: u64,
 ) -> BaselineLayout {
-    naive_lifting_with(
+    naive_lifting_traced(
         netlist,
         nets,
         lift_layer,
         utilization,
         seed,
         &sm_exec::Budget::default(),
+        &mut sm_exec::phase::Recorder::new(),
     )
 }
 
-/// [`naive_lifting`], confined to the `exec` thread budget.
-pub fn naive_lifting_with(
-    netlist: &Netlist,
-    nets: &[NetId],
-    lift_layer: u8,
-    utilization: f64,
-    seed: u64,
-    exec: &sm_exec::Budget,
-) -> BaselineLayout {
-    let mut opts = RouteOptions::default();
-    for &n in nets {
-        opts.lift.insert(n, lift_layer);
-    }
-    layout_with_options(netlist, utilization, seed, &opts, exec, None)
-}
-
-/// [`naive_lifting_with`], recording placement phase spans into `rec`
-/// (`lift-place` / `lift-place-fm`). Byte-identical output.
+/// [`naive_lifting`], confined to the `exec` thread budget and recording
+/// placement phase spans into `rec` (`lift-place` / `lift-place-fm`).
+/// Bit-identical output.
 #[allow(clippy::too_many_arguments)]
 pub fn naive_lifting_traced(
     netlist: &Netlist,
@@ -365,15 +343,16 @@ mod tests {
         }
     }
 
-    /// Metering is pure observability: the traced builders produce the
-    /// same layouts as the untraced ones and record a placement span
-    /// pair with the FM slice bounded by the total.
+    /// Metering and the thread budget are pure observability/wall-clock:
+    /// the traced builder on an explicit budget produces the same layout
+    /// as the plain one and records a placement span pair with the FM
+    /// slice bounded by the total.
     #[test]
     fn traced_builders_match_untraced_and_record_spans() {
         let n = c17();
-        let exec = sm_exec::Budget::default();
-        let plain = original_layout_with(&n, 0.6, 7, &exec);
+        let plain = original_layout(&n, 0.6, 7);
         let mut rec = sm_exec::phase::Recorder::new();
+        let exec = sm_exec::Budget::with_threads(Some(2));
         let traced = original_layout_traced(&n, 0.6, 7, &exec, &mut rec);
         assert_eq!(plain.placement, traced.placement);
         assert_eq!(plain.ppa.delay_ps, traced.ppa.delay_ps);

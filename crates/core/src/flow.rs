@@ -126,7 +126,7 @@ impl ProtectedDesign {
 }
 
 /// Runs the full protection flow on `netlist` with the process-global
-/// thread budget. See [`protect_with`] to run inside an explicit
+/// thread budget. See [`protect_traced`] to run inside an explicit
 /// [`sm_exec::Budget`] (e.g. a campaign job's sub-budget).
 ///
 /// Deterministic per [`FlowConfig::seed`]. The budget loop drops half of
@@ -138,13 +138,21 @@ impl ProtectedDesign {
 ///
 /// Panics if the netlist is empty.
 pub fn protect(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
-    protect_with(netlist, config, &sm_exec::Budget::default())
+    protect_traced(
+        netlist,
+        config,
+        &sm_exec::Budget::default(),
+        &mut sm_exec::phase::Recorder::new(),
+    )
 }
 
 /// [`protect`], with the flow's parallel inner work (bisection anchor
-/// sweeps during placement) confined to `exec`. The budget changes
-/// wall-clock only: the produced design is bit-identical across thread
-/// counts.
+/// sweeps during placement) confined to `exec`, recording placement
+/// phase spans into `rec`: `protect-place` (total placement wall-clock
+/// across every build the budget loop runs) and `protect-place-fm` (the
+/// slice of it spent in FM refinement). Neither the budget nor the
+/// recording changes the result: the produced design is bit-identical
+/// across thread counts.
 ///
 /// If `exec`'s token fires mid-flow, the build aborts at the next
 /// result-neutral checkpoint (between FM passes, between bisection
@@ -152,19 +160,6 @@ pub fn protect(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
 /// [`sm_exec::Cancelled`] — the campaign engine's job isolation maps
 /// that unwind to the timed-out outcome. A flow that completes is
 /// byte-identical whether or not a deadline was armed.
-pub fn protect_with(
-    netlist: &Netlist,
-    config: &FlowConfig,
-    exec: &sm_exec::Budget,
-) -> ProtectedDesign {
-    protect_traced(netlist, config, exec, &mut sm_exec::phase::Recorder::new())
-}
-
-/// [`protect_with`], recording placement phase spans into `rec`:
-/// `protect-place` (total placement wall-clock across every build the
-/// budget loop runs) and `protect-place-fm` (the slice of it spent in
-/// FM refinement). Recording is side-band observability — the produced
-/// design is byte-identical to [`protect_with`].
 pub fn protect_traced(
     netlist: &Netlist,
     config: &FlowConfig,

@@ -76,34 +76,25 @@ pub struct SuperblueRun {
 
 impl SuperblueRun {
     /// Builds the three layouts for `profile` at the given scale, with
-    /// the process-global thread budget. See
-    /// [`SuperblueRun::build_with`].
+    /// the process-global thread budget and no store. See
+    /// [`SuperblueRun::assemble_with`].
     pub fn build(profile: &SuperblueProfile, scale: usize, seed: u64) -> SuperblueRun {
-        Self::build_with(profile, scale, seed, &Budget::default())
+        let rec = &mut Recorder::new();
+        Self::assemble_with(profile, scale, seed, &Budget::default(), &BuildAll, rec).0
     }
 
-    /// Builds the three layouts for `profile` at the given scale, inside
+    /// Assembles the bundle stage by stage through `source`, inside
     /// `exec` (the requesting job's budget — the build never occupies
-    /// more worker threads than that allotment).
+    /// more worker threads than that allotment). Each stage is fetched
+    /// (decoded from the store) or built and persisted independently,
+    /// so a store missing only one stage rebuilds only that stage.
+    /// Returns the run plus whether *any* stage was built.
     ///
     /// The protected flow and the unprotected baseline share no state
     /// (each seeds its own RNG), so they build concurrently via
     /// [`Budget::join`] — a deterministic parallel bundle build: the
     /// schedule varies, the layouts are bit-identical to a sequential
     /// build. Naive lifting needs the protected-net set and runs after.
-    pub fn build_with(
-        profile: &SuperblueProfile,
-        scale: usize,
-        seed: u64,
-        exec: &Budget,
-    ) -> SuperblueRun {
-        Self::assemble_with(profile, scale, seed, exec, &BuildAll, &mut Recorder::new()).0
-    }
-
-    /// Assembles the bundle stage by stage through `source`: each stage
-    /// is fetched (decoded from the store) or built and persisted
-    /// independently, so a store missing only one stage rebuilds only
-    /// that stage. Returns the run plus whether *any* stage was built.
     ///
     /// The protected-net set is recomputed from the protected design
     /// (it is derived data, not a persisted stage).
@@ -196,23 +187,16 @@ pub struct IscasRun {
 
 impl IscasRun {
     /// Builds the layouts for `profile` with the process-global thread
-    /// budget. See [`IscasRun::build_with`].
+    /// budget and no store. See [`IscasRun::assemble_with`].
     pub fn build(profile: &IscasProfile, seed: u64) -> IscasRun {
-        Self::build_with(profile, seed, &Budget::default())
+        let rec = &mut Recorder::new();
+        Self::assemble_with(profile, seed, &Budget::default(), &BuildAll, rec).0
     }
 
-    /// Builds the layouts for `profile` inside `exec`. As with
-    /// [`SuperblueRun::build_with`], the protected flow and the
-    /// unprotected baseline are independent and build concurrently with
-    /// bit-identical results.
-    pub fn build_with(profile: &IscasProfile, seed: u64, exec: &Budget) -> IscasRun {
-        Self::assemble_with(profile, seed, exec, &BuildAll, &mut Recorder::new()).0
-    }
-
-    /// Assembles the bundle stage by stage through `source` (see
-    /// [`SuperblueRun::assemble_with`], including the phase-span
-    /// recording contract). Returns the run plus whether any stage was
-    /// built.
+    /// Assembles the bundle stage by stage through `source` inside
+    /// `exec` (see [`SuperblueRun::assemble_with`], including the
+    /// concurrent protect/baseline build and the phase-span recording
+    /// contract). Returns the run plus whether any stage was built.
     pub fn assemble_with(
         profile: &IscasProfile,
         seed: u64,

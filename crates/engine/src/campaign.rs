@@ -32,12 +32,12 @@ use sm_attacks::crouting::{crouting_attack, CroutingConfig};
 use sm_attacks::proximity::{ccr_over_connections, network_flow_attack_budgeted, ProximityConfig};
 use sm_core::flow::BaselineLayout;
 use sm_exec::fault::{Fault, FaultSite};
+use sm_exec::{Budget, PoolStats};
 use sm_layout::split_layout;
 use sm_netlist::{NetId, Netlist, Sink};
 
 use crate::bundle::{IscasRun, SuperblueRun};
 use crate::cache::{ArtifactCache, CacheStats, SplitArm, StageStats};
-use crate::exec::{Budget, Executor, ExecutorConfig, PoolStats};
 use crate::job::{AttackKind, Benchmark, Job};
 use crate::journal::{Event, EventJob, MetricsSource, Provenance};
 use crate::report::{csv, Json, ReportOptions};
@@ -139,25 +139,20 @@ pub enum Bundle {
 
 impl Bundle {
     /// Fetches (or builds) the bundle for `job` from the cache; a miss
-    /// builds inside `exec`, the job's thread budget.
-    pub fn fetch(cache: &ArtifactCache, job: &Job, exec: &Budget) -> Bundle {
-        Self::fetch_traced(cache, job, exec, &mut sm_attacks::phase::Recorder::new())
-    }
-
-    /// [`Bundle::fetch`], recording the build's placement phase spans
-    /// into `rec` when this call is the one that builds (cache hits
-    /// record nothing).
-    pub fn fetch_traced(
+    /// builds inside `exec`, the job's thread budget, and records the
+    /// build's placement phase spans into `rec` (cache hits record
+    /// nothing).
+    pub fn fetch(
         cache: &ArtifactCache,
         job: &Job,
         exec: &Budget,
-        rec: &mut sm_attacks::phase::Recorder,
+        rec: &mut sm_exec::phase::Recorder,
     ) -> Bundle {
         let seed = job.bundle_seed();
         match &job.benchmark {
-            Benchmark::Iscas(p) => Bundle::Iscas(cache.iscas_traced(p, seed, exec, rec)),
+            Benchmark::Iscas(p) => Bundle::Iscas(cache.iscas(p, seed, exec, rec)),
             Benchmark::Superblue(p, scale) => {
-                Bundle::Superblue(cache.superblue_traced(p, *scale, seed, exec, rec))
+                Bundle::Superblue(cache.superblue(p, *scale, seed, exec, rec))
             }
         }
     }
@@ -364,8 +359,8 @@ pub fn run_job(cache: &ArtifactCache, job: &Job, exec: &Budget) -> JobOutcome {
             let panic_phase = std::cell::Cell::new("bundle");
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let fetch = Instant::now();
-                let mut brec = sm_attacks::phase::Recorder::new();
-                let bundle = Bundle::fetch_traced(cache, job, exec, &mut brec);
+                let mut brec = sm_exec::phase::Recorder::new();
+                let bundle = Bundle::fetch(cache, job, exec, &mut brec);
                 phases.push(("bundle", ms_since(fetch)));
                 phases.extend(brec.into_spans());
                 panic_phase.set("attack");
@@ -497,7 +492,7 @@ fn flow_metrics(
         )
     });
     phases.push(("split", ms_since(t)));
-    let mut rec = sm_attacks::phase::Recorder::new();
+    let mut rec = sm_exec::phase::Recorder::new();
     let out = network_flow_attack_budgeted(
         netlist,
         &protected.randomization.erroneous,
@@ -525,7 +520,7 @@ fn flow_metrics(
         &split_orig,
         &cfg,
         exec,
-        &mut sm_attacks::phase::Recorder::new(),
+        &mut sm_exec::phase::Recorder::new(),
     )?;
     phases.push(("attack-original", ms_since(t)));
 
@@ -596,35 +591,24 @@ fn crouting_metrics(
     }
 }
 
-/// Runs a full sweep on a fresh memory-only cache. See
-/// [`run_sweep_with`] for store-backed and filtered runs.
-pub fn run_sweep(spec: &SweepSpec, exec: ExecutorConfig) -> Result<Campaign, String> {
-    run_sweep_with(spec, exec, &ArtifactCache::new(), None)
-}
-
-/// Runs a sweep (optionally restricted to the job indices in `filter`)
-/// against a caller-provided cache — which may be layered over a disk
-/// store, and may be shared across campaigns. Convenience wrapper over
-/// [`run_sweep_budgeted`] for callers configured by thread count alone.
+/// Runs a full sweep inside `budget` on a fresh memory-only cache. See
+/// [`run_sweep_budgeted`] for store-backed and filtered runs.
 ///
 /// # Errors
 ///
-/// Returns an error for an invalid spec or an out-of-range job filter.
-pub fn run_sweep_with(
-    spec: &SweepSpec,
-    exec: ExecutorConfig,
-    cache: &ArtifactCache,
-    filter: Option<&[usize]>,
-) -> Result<Campaign, String> {
-    run_sweep_budgeted(spec, &Budget::with_threads(exec.threads), cache, filter)
+/// Returns an error for an invalid spec.
+pub fn run_sweep(spec: &SweepSpec, budget: &Budget) -> Result<Campaign, String> {
+    run_sweep_budgeted(spec, budget, &ArtifactCache::new(), None)
 }
 
-/// Runs a sweep inside `budget` — the campaign's full resource
-/// allotment, as parsed from `--threads`/`--timeout-secs`. Each job gets
-/// an equal [`Budget::split`] share, so nested parallel work (bundle
-/// builds, bisection anchor sweeps) shares the campaign's pool; jobs
-/// picked up after the budget's token is cancelled or its deadline
-/// passed come back as [`JobMetrics::TimedOut`].
+/// Runs a sweep (optionally restricted to the job indices in `filter`)
+/// inside `budget` — the campaign's full resource allotment, as parsed
+/// from `--threads`/`--timeout-secs` — against a caller-provided cache,
+/// which may be layered over a disk store and may be shared across
+/// campaigns. Each job gets an equal [`Budget::split`] share, so nested
+/// parallel work (bundle builds, bisection anchor sweeps) shares the
+/// campaign's pool; jobs picked up after the budget's token is cancelled
+/// or its deadline passed come back as [`JobMetrics::TimedOut`].
 ///
 /// Per-key consumer counts are reserved up front, so each bundle is
 /// dropped from memory as soon as its last selected job finishes.
@@ -678,12 +662,6 @@ pub fn run_sweep_budgeted(
         journal.record(&Event::campaign_finished(&campaign));
     }
     Ok(campaign)
-}
-
-/// Executes an explicit job list on the executor's budget. See
-/// [`run_jobs_budgeted`].
-pub fn run_jobs(jobs: &[Job], executor: &Executor, cache: &ArtifactCache) -> Vec<JobOutcome> {
-    run_jobs_budgeted(jobs, executor.budget(), cache)
 }
 
 /// Executes an explicit job list inside `budget`, reserving and
@@ -1736,12 +1714,12 @@ mod tests {
             layout_seed: None,
         };
         let cache = ArtifactCache::new();
-        let exec = ExecutorConfig { threads: Some(2) };
-        let filtered = run_sweep_with(&spec, exec, &cache, Some(&[1, 1])).unwrap();
+        let exec = Budget::with_threads(Some(2));
+        let filtered = run_sweep_budgeted(&spec, &exec, &cache, Some(&[1, 1])).unwrap();
         assert_eq!(filtered.outcomes.len(), 1);
         assert_eq!(filtered.outcomes[0].job.attack, AttackKind::Crouting);
-        assert!(run_sweep_with(&spec, exec, &cache, Some(&[9])).is_err());
-        assert!(run_sweep_with(&spec, exec, &cache, Some(&[])).is_err());
+        assert!(run_sweep_budgeted(&spec, &exec, &cache, Some(&[9])).is_err());
+        assert!(run_sweep_budgeted(&spec, &exec, &cache, Some(&[])).is_err());
     }
 
     #[test]
@@ -1755,7 +1733,7 @@ mod tests {
             master_seed: 3,
             layout_seed: None,
         };
-        let campaign = run_sweep(&spec, ExecutorConfig { threads: Some(2) }).unwrap();
+        let campaign = run_sweep(&spec, &Budget::with_threads(Some(2))).unwrap();
         let rendered = campaign.to_json(ReportOptions::default()).render();
         let parsed = Campaign::from_json(&Json::parse(&rendered).unwrap()).unwrap();
         assert_eq!(parsed.outcomes.len(), campaign.outcomes.len());
@@ -1780,15 +1758,14 @@ mod tests {
         };
         let expansion = spec.jobs().unwrap();
         let cache = ArtifactCache::new();
-        let exec = ExecutorConfig { threads: Some(2) };
+        let exec = Budget::with_threads(Some(2));
         // Run only job 1, as `--jobs 1` would.
-        let partial = run_sweep_with(&spec, exec, &cache, Some(&[1])).unwrap();
+        let partial = run_sweep_budgeted(&spec, &exec, &cache, Some(&[1])).unwrap();
         let missing = missing_jobs(&expansion, &partial.outcomes);
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].index, 0);
 
-        let executor = Executor::new(exec);
-        let fresh = run_jobs(&missing, &executor, &cache);
+        let fresh = run_jobs_budgeted(&missing, &exec, &cache);
         let merged = merge_outcomes(&expansion, partial.outcomes, fresh);
         assert_eq!(merged.len(), expansion.len());
         for (i, o) in merged.iter().enumerate() {
@@ -1796,7 +1773,7 @@ mod tests {
         }
 
         // The merged report equals a from-scratch full run.
-        let full = run_sweep(&spec, exec).unwrap();
+        let full = run_sweep(&spec, &exec).unwrap();
         let merged_campaign = Campaign {
             spec: spec.clone(),
             outcomes: merged,
@@ -1823,7 +1800,7 @@ mod tests {
             master_seed: 1,
             layout_seed: None,
         };
-        let campaign = run_sweep(&spec, ExecutorConfig { threads: Some(3) }).unwrap();
+        let campaign = run_sweep(&spec, &Budget::with_threads(Some(3))).unwrap();
         let aggs = campaign.aggregates();
         assert_eq!(aggs.len(), 1, "one benchmark × layer × attack point");
         let agg = &aggs[0];

@@ -49,9 +49,9 @@ use crate::cache::CacheStats;
 use crate::campaign::{
     merge_outcomes, phase_ms, wall_ms, Campaign, JobMetrics, JobOutcome, SweepSpec,
 };
-use crate::exec::PoolStats;
 use crate::job::{AttackKind, Benchmark, Job};
 use crate::report::Json;
+use sm_exec::PoolStats;
 
 /// Journal file magic (`SMJL`).
 pub const JOURNAL_MAGIC: [u8; 4] = *b"SMJL";

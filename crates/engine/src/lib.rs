@@ -16,11 +16,6 @@
 //! * [`store`] — the disk-backed tier under the cache: bundles and
 //!   finished job results persist across processes under `.sm-store/`,
 //!   so repeated runs decode instead of rebuilding;
-//! * [`exec`] — re-exports of `sm_exec`'s persistent work-stealing
-//!   [`Pool`](exec::Pool), splittable [`Budget`](exec::Budget) and
-//!   [`CancelToken`](exec::CancelToken): the campaign's thread allotment
-//!   is divided among jobs, so nested parallel work shares one pool and
-//!   output order stays independent of scheduling;
 //! * [`journal`] — the append-only, checksummed campaign event log
 //!   under `.sm-store/journal/`: per-job provenance, live progress
 //!   (`smctl tail`/`events`) and crash-safe resume, with the canonical
@@ -39,15 +34,22 @@
 //!   deterministic N-worker simulation whose merged reports are
 //!   byte-identical to a solo sweep.
 //!
+//! Scheduling and resource ownership come from `sm_exec`, whose
+//! persistent work-stealing [`Pool`], splittable [`Budget`] and
+//! [`CancelToken`] are re-exported at this crate's root: the campaign's
+//! thread allotment is divided among jobs, so nested parallel work
+//! shares one pool and output order stays independent of scheduling.
+//!
 //! The `smctl` CLI (in `sm-bench`, next to the experiment definitions)
-//! and the per-table binaries all sit on top of these primitives.
+//! sits on top of these primitives; `smctl run <artifact>` regenerates
+//! each table and figure.
 //!
 //! # Example
 //!
 //! ```no_run
 //! use sm_engine::campaign::{run_sweep, SweepSpec};
-//! use sm_engine::exec::ExecutorConfig;
 //! use sm_engine::report::ReportOptions;
+//! use sm_engine::Budget;
 //!
 //! let spec = SweepSpec {
 //!     benchmarks: vec!["c432".into(), "c880".into()],
@@ -55,7 +57,7 @@
 //!     split_layers: vec![3, 4, 6],
 //!     ..SweepSpec::default()
 //! };
-//! let campaign = run_sweep(&spec, ExecutorConfig::default()).unwrap();
+//! let campaign = run_sweep(&spec, &Budget::default()).unwrap();
 //! println!("{}", campaign.to_json(ReportOptions::default()).render());
 //! eprintln!("{}", campaign.summary());
 //! ```
@@ -65,7 +67,6 @@
 pub mod bundle;
 pub mod cache;
 pub mod campaign;
-pub mod exec;
 pub mod job;
 pub mod journal;
 pub mod report;
@@ -75,10 +76,9 @@ pub mod store;
 pub use bundle::{iscas_selection, superblue_selection, IscasRun, StageSource, SuperblueRun};
 pub use cache::{ArtifactCache, BundleKey, CacheStats, SplitArm, StageStats};
 pub use campaign::{
-    merge_reports, run_job, run_jobs_budgeted, run_sweep, run_sweep_budgeted, run_sweep_with,
-    Campaign, JobMetrics, JobOutcome, SweepSpec,
+    merge_reports, run_job, run_jobs_budgeted, run_sweep, run_sweep_budgeted, Campaign, JobMetrics,
+    JobOutcome, SweepSpec,
 };
-pub use exec::{Budget, CancelToken, Executor, ExecutorConfig, Pool, PoolStats};
 pub use job::{AttackKind, Benchmark, Job};
 pub use journal::{Event, Journal, JournalFollower};
 pub use report::{Json, ReportOptions};
@@ -86,6 +86,7 @@ pub use serve::{
     client_shutdown, client_status, client_submit, serve, simulate_campaign, simulate_schedule,
     Fleet, FleetStats, ServeConfig, ServiceStatus, SimPlan,
 };
+pub use sm_exec::{Budget, CancelToken, Pool, PoolStats};
 pub use store::{
     ArtifactStore, Stage, StageHealth, StageUsage, StoreHealth, StoreLock, StoreStats, StoreUsage,
 };
@@ -93,9 +94,9 @@ pub use store::{
 #[cfg(test)]
 mod tests {
     use super::campaign::{run_sweep, SweepSpec};
-    use super::exec::ExecutorConfig;
     use super::job::AttackKind;
     use super::report::ReportOptions;
+    use super::Budget;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -117,8 +118,8 @@ mod tests {
     #[test]
     fn reports_are_byte_identical_across_runs() {
         let spec = tiny_spec();
-        let a = run_sweep(&spec, ExecutorConfig { threads: Some(4) }).unwrap();
-        let b = run_sweep(&spec, ExecutorConfig { threads: Some(2) }).unwrap();
+        let a = run_sweep(&spec, &Budget::with_threads(Some(4))).unwrap();
+        let b = run_sweep(&spec, &Budget::with_threads(Some(2))).unwrap();
         let ja = a.to_json(ReportOptions::default()).render();
         let jb = b.to_json(ReportOptions::default()).render();
         assert_eq!(ja, jb);
@@ -141,7 +142,7 @@ mod tests {
             seeds: vec![1],
             ..tiny_spec()
         };
-        let c = run_sweep(&spec, ExecutorConfig { threads: Some(2) }).unwrap();
+        let c = run_sweep(&spec, &Budget::with_threads(Some(2))).unwrap();
         let plain = c.to_json(ReportOptions::default()).render();
         let timed = c
             .to_json(ReportOptions {

@@ -49,11 +49,11 @@ use sm_exec::seed;
 
 use crate::cache::ArtifactCache;
 use crate::campaign::{merge_reports, run_job, run_jobs_budgeted, Campaign, SweepSpec};
-use crate::exec::Budget;
 use crate::job::Job;
 use crate::journal::{spec_fingerprint, Event, Journal, JournalFollower};
 use crate::report::ReportOptions;
 use crate::store::ArtifactStore;
+use sm_exec::Budget;
 
 // ----- fleet: the scheduling state machine --------------------------------
 

@@ -16,10 +16,9 @@ use sm_engine::campaign::{
     merge_outcomes, merge_reports, missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign,
     SweepSpec,
 };
-use sm_engine::exec::{Budget, CancelToken, PoolStats};
 use sm_engine::job::AttackKind;
 use sm_engine::report::{Json, ReportOptions};
-use sm_engine::{ArtifactCache, CacheStats};
+use sm_engine::{ArtifactCache, Budget, CacheStats, CancelToken, PoolStats};
 
 fn tiny_spec() -> SweepSpec {
     SweepSpec {

@@ -20,12 +20,11 @@ use std::sync::{Arc, Once, OnceLock};
 use sm_engine::campaign::{
     missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign, SweepSpec,
 };
-use sm_engine::exec::fault::{FaultInject, FaultPlan, FaultProfile};
-use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{materialize, read_events, Journal};
 use sm_engine::report::ReportOptions;
-use sm_engine::{ArtifactCache, ArtifactStore};
+use sm_engine::{ArtifactCache, ArtifactStore, Budget};
+use sm_exec::fault::{FaultInject, FaultPlan, FaultProfile};
 
 struct Scratch(PathBuf);
 

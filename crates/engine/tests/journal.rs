@@ -20,13 +20,12 @@ use std::time::Duration;
 use sm_engine::campaign::{
     missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign, SweepSpec,
 };
-use sm_engine::exec::{Budget, CancelToken};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{
     find_journal, materialize, read_events, Event, Journal, JournalFollower, MetricsSource,
 };
 use sm_engine::report::ReportOptions;
-use sm_engine::{ArtifactCache, ArtifactStore};
+use sm_engine::{ArtifactCache, ArtifactStore, Budget, CancelToken};
 
 struct Scratch(PathBuf);
 

@@ -15,7 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
-use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
 use sm_engine::journal::Event;
 use sm_engine::report::ReportOptions;
@@ -23,7 +22,7 @@ use sm_engine::serve::{
     client_shutdown, client_status, client_submit, serve, simulate_campaign, simulate_schedule,
     ServeConfig, SimPlan,
 };
-use sm_engine::ArtifactCache;
+use sm_engine::{ArtifactCache, Budget};
 
 struct Scratch(PathBuf);
 

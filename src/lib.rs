@@ -20,7 +20,7 @@
 //! * [`attacks`] — the network-flow proximity attack and `crouting`;
 //! * [`benchgen`] — deterministic ISCAS-85 / superblue-like generators;
 //! * [`engine`] — the parallel experiment-campaign engine behind the
-//!   `smctl` CLI: jobs, a work-stealing executor, a content-keyed
+//!   `smctl` CLI: jobs, a budgeted work-stealing pool, a content-keyed
 //!   bundle cache and deterministic JSON/CSV reporters.
 //!
 //! # Quickstart
@@ -73,9 +73,7 @@ pub mod prelude {
     pub use sm_attacks::{crouting_attack, network_flow_attack, CroutingConfig, ProximityConfig};
     pub use sm_benchgen::{IscasProfile, SuperblueProfile};
     pub use sm_core::{protect, FlowConfig, ProtectedDesign, RandomizeConfig};
-    pub use sm_engine::{
-        run_sweep, ArtifactCache, AttackKind, Executor, ExecutorConfig, SweepSpec,
-    };
+    pub use sm_engine::{run_sweep, ArtifactCache, AttackKind, Budget, SweepSpec};
     pub use sm_layout::{
         split_layout, Floorplan, PlacementEngine, RouteOptions, Router, Technology,
     };
