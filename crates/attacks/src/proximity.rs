@@ -672,11 +672,12 @@ mod tests {
     use super::*;
     use sm_core::baselines::original_layout;
     use sm_core::flow::{protect, FlowConfig};
+    use sm_exec::phase::Recorder;
     use sm_exec::CancelToken;
     use sm_layout::split_layout;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn c17() -> Netlist {
         parse_bench("c17", C17_BENCH, &Library::nangate45()).unwrap()
@@ -736,26 +737,31 @@ mod tests {
         let base = original_layout(&n, 0.6, 1);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
         let cfg = ProximityConfig::default();
-        let run = |exec: &Budget| {
-            network_flow_attack_budgeted(
-                &n,
-                &n,
-                &base.placement,
-                &split,
-                &cfg,
-                exec,
-                &mut sm_exec::phase::Recorder::new(),
-            )
+        let run = |exec: &Budget, rec: &mut Recorder| {
+            network_flow_attack_budgeted(&n, &n, &base.placement, &split, &cfg, exec, rec)
         };
         // A budget whose token is pre-cancelled stops the attack at its
         // first phase boundary with no partial result.
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert!(run(&Budget::with_threads(Some(2)).with_cancel(cancelled)).is_none());
+        let cancelled = Budget::with_threads(Some(2)).with_cancel(cancelled);
+        assert!(run(&cancelled, &mut Recorder::new()).is_none());
         // An armed-but-never-fired deadline must not perturb the result:
         // the budgeted path and the plain path agree exactly.
         let armed = Budget::with_threads(Some(2)).with_deadline_in(Duration::from_secs(3600));
-        let via_token = run(&armed);
+        let mut rec = Recorder::new();
+        let start = Instant::now();
+        let via_token = run(&armed, &mut rec);
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        // The recorder carries the candidate-scoring span, a slice of
+        // the whole attack.
+        let candidates_ms = rec
+            .spans()
+            .iter()
+            .find(|&&(name, _)| name == "attack-candidates")
+            .map(|&(_, ms)| ms)
+            .expect("the flow attack records candidate scoring");
+        assert!((0.0..=wall_ms).contains(&candidates_ms));
         let plain = network_flow_attack(&n, &n, &base.placement, &split, &cfg);
         match via_token {
             None => panic!("token never fired"),

@@ -8,7 +8,6 @@
 //! smctl report --input FILE   re-render a stored report (or a journal)
 //! smctl events <dir|file>     print/stream the campaign journal
 //! smctl tail <dir|file>       live per-job progress (events --follow)
-//! smctl bench [--quick]       deterministic perf harness → BENCH.json
 //! smctl chaos                 fault-injection smoke: crash, resume, byte-diff
 //! smctl store stats|gc|clear|doctor  inspect/maintain the artifact store
 //! smctl serve --socket S      campaign service with work-stealing workers
@@ -61,11 +60,10 @@ use std::sync::Arc;
 use sm_bench::artifacts::{artifact_by_name, ARTIFACTS};
 use sm_bench::cli;
 use sm_bench::session::Session;
-use sm_bench::suite::{iscas_selection, superblue_selection};
 use sm_bench::{RunOptions, StoreMode};
 use sm_engine::campaign::{
-    json_to_csv, merge_outcomes, merge_reports, missing_jobs, run_jobs_budgeted,
-    run_sweep_budgeted, Campaign, SweepSpec,
+    merge_outcomes, merge_reports, missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign,
+    SweepSpec,
 };
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{find_journal, materialize, read_events, Event, Journal, JournalFollower};
@@ -74,7 +72,7 @@ use sm_engine::serve::{
     client_shutdown, client_status, client_submit, serve, simulate_campaign, ServeConfig, SimPlan,
 };
 use sm_engine::store::ArtifactStore;
-use sm_engine::ArtifactCache;
+use sm_engine::{iscas_selection, superblue_selection, ArtifactCache};
 use sm_exec::fault::{FaultInject, FaultProfile};
 
 /// The store directory `smctl run`/`sweep`/`resume` use when no
@@ -104,8 +102,6 @@ USAGE:
                 [--format json|csv|agg-csv|table]
     smctl events <journal|store-dir> [--follow] [--format table|json]
     smctl tail <journal|store-dir>
-    smctl bench [--quick] [--seed N] [--scale N] [--threads N] [--out FILE]
-                [--baseline FILE] [--max-regression FACTOR] [--min-of N]
     smctl chaos [--threads N] [--fault-seed N] [--fault-profile P]
     smctl store stats|gc|clear|doctor [--store DIR] [--store-cap SIZE]
     smctl serve --socket PATH [--workers N] [--max-queued N] [--threads N]
@@ -180,22 +176,6 @@ FAULTS:
     sweep under injected faults, a fault-free resume, and a byte-diff
     of the resumed report against a fault-free baseline (non-zero exit
     on any mismatch). `smctl resume` never injects faults.
-
-BENCH:
-    `smctl bench` times every pipeline stage (generate/place/route/split/
-    attacks — flow everywhere, plus crouting on superblue, both gated
-    vs the baseline) over the quick ISCAS selection plus superblue18,
-    plus a quick campaign against a cold and a warm store, and emits a
-    BENCH.json perf-trajectory point (stdout or --out). The hot kernels
-    also report their own sub-stages (place-fm, attack-flow-score,
-    attack-crouting-grid), timed by the kernels' phase instrumentation.
-    Wall times are machine-dependent; every other field is
-    deterministic. --min-of N repeats each layout stage N times and
-    records the minimum wall (the campaign stages always run once —
-    their cold/warm deltas are stateful). With --baseline FILE it exits
-    non-zero if any stage runs slower than --max-regression (default
-    2.0) × the baseline plus a small slack; a failure line carries the
-    full slack math (delta, ratio, limit derivation).
 
 STORE:
     run/sweep/resume persist every pipeline stage (netlists, place+route
@@ -290,7 +270,6 @@ fn main() -> ExitCode {
         "report" => cmd_report(rest),
         "events" => cmd_events(rest, false),
         "tail" => cmd_events(rest, true),
-        "bench" => cmd_bench(rest),
         "chaos" => cmd_chaos(rest),
         "store" => cmd_store(rest),
         "serve" => cmd_serve(rest),
@@ -1277,16 +1256,20 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     let path = input.ok_or("`smctl report` needs --input FILE or --journal PATH")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let parsed = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    match format.as_str() {
-        "json" => print!("{}", parsed.render()),
-        "csv" => print!("{}", json_to_csv(&parsed)?),
-        // Aggregate views re-derive from the parsed outcomes, so stored
-        // reports can be summarized without re-running anything.
-        _ => {
-            let campaign = Campaign::from_json(&parsed).map_err(|e| format!("{path}: {e}"))?;
-            print!("{}", render_campaign(&campaign, &format, false));
-        }
+    if format == "json" {
+        print!("{}", parsed.render());
+        return Ok(ExitCode::SUCCESS);
     }
+    // The other views re-derive from the parsed outcomes, so stored
+    // reports can be summarized without re-running anything. A timed
+    // report keeps its per-job `wall_ms` column in CSV.
+    let campaign = Campaign::from_json(&parsed).map_err(|e| format!("{path}: {e}"))?;
+    let timed = parsed
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .and_then(|jobs| jobs.first())
+        .is_some_and(|job| job.get("wall_ms").is_some());
+    print!("{}", render_campaign(&campaign, &format, timed));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1440,71 +1423,6 @@ impl EventProgress {
             None => format!("{}/?", self.done),
         }
     }
-}
-
-/// `smctl bench`: run the deterministic perf harness, emit the
-/// BENCH.json trajectory point, optionally gate against a baseline.
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let opts = RunOptions::from_slice(args)?;
-    let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut factor = 2.0f64;
-    let mut min_of = 1usize;
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--out" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--baseline" => baseline_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--max-regression" => {
-                let v = cli::flag_value(flag, inline, args, &mut i)?;
-                factor = v
-                    .parse()
-                    .map_err(|e| format!("invalid --max-regression `{v}`: {e}"))?;
-                if factor < 1.0 || factor.is_nan() {
-                    return Err(format!("--max-regression must be ≥ 1.0, got {factor}"));
-                }
-            }
-            "--min-of" => {
-                let v = cli::flag_value(flag, inline, args, &mut i)?;
-                min_of = v
-                    .parse()
-                    .map_err(|e| format!("invalid --min-of `{v}`: {e}"))?;
-                if min_of == 0 {
-                    return Err("--min-of must be ≥ 1".to_string());
-                }
-            }
-            "--seed" | "--scale" | "--threads" => {
-                let _ = cli::flag_value(flag, inline, args, &mut i)?;
-            }
-            "--quick" => cli::no_value(flag, inline)?,
-            other => return Err(format!("unknown bench flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
-    let cfg = sm_bench::perf::BenchConfig {
-        quick: opts.quick,
-        seed: opts.seed,
-        scale: opts.scale,
-        threads: opts.threads,
-        min_of,
-    };
-    let report = sm_bench::perf::run_bench(&cfg);
-    eprint!("{}", report.to_table());
-    emit(&report.to_json().render(), out_path.as_deref())?;
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        let baseline = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        // 500 ms absolute slack on top of the factor: the committed
-        // baseline may come from a different machine class than the
-        // runner, and this gate exists to catch pathological
-        // regressions, not scheduler noise. If the gate proves noisy
-        // in CI, regenerate BENCH.json from the bench job's uploaded
-        // artifact rather than widening the factor.
-        report.check_against(&baseline, factor, 500.0)?;
-        eprintln!("bench: no stage regressed more than {factor}× vs {path}");
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// `smctl chaos`: one-command fault-injection smoke. Runs a small fixed

@@ -1,11 +1,11 @@
 //! Measurement drivers for every table and figure.
 
-use crate::suite::{IscasRun, SuperblueRun};
 use sm_attacks::crouting::{crouting_attack, CroutingConfig, CroutingReport};
 use sm_attacks::proximity::{ccr_over_connections, network_flow_attack, ProximityConfig};
 use sm_core::baselines::{
     pin_swapping_with, placement_perturbation_with, routing_perturbation_with,
 };
+use sm_engine::{IscasRun, SuperblueRun};
 use sm_layout::analysis::{distance_stats, DistanceStats};
 use sm_layout::{split_layout, ViaCounts};
 

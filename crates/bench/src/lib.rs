@@ -30,10 +30,8 @@
 pub mod artifacts;
 pub mod cli;
 pub mod experiments;
-pub mod perf;
 pub mod quotes;
 pub mod session;
-pub mod suite;
 
 /// Where the disk-backed artifact store lives, if anywhere.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -126,6 +126,37 @@ fn events_report_and_resume_agree_on_a_completed_campaign() {
     assert_eq!(exit_code(&out), 0, "resume: {}", stderr(&out));
     assert!(stderr(&out).contains("0 to run"), "{}", stderr(&out));
     assert_eq!(std::fs::read(dir.join("resumed.json")).unwrap(), reference);
+
+    // A timed report renders to the canonical CSV plus a `wall_ms`
+    // column carrying each job's stored wall clock.
+    let mut args = vec!["sweep"];
+    args.extend(SPEC_ARGS);
+    args.extend(["--store", "st", "--timings", "--out", "timed.json"]);
+    let out = smctl(&args, dir);
+    assert_eq!(exit_code(&out), 0, "timed sweep: {}", stderr(&out));
+    let canonical = smctl(&["report", "--input", "ref.json", "--format", "csv"], dir);
+    assert_eq!(exit_code(&canonical), 0, "csv: {}", stderr(&canonical));
+    let timed = smctl(&["report", "--input", "timed.json", "--format", "csv"], dir);
+    assert_eq!(exit_code(&timed), 0, "timed csv: {}", stderr(&timed));
+    let text = std::fs::read_to_string(dir.join("timed.json")).unwrap();
+    let report = sm_engine::report::Json::parse(&text).unwrap();
+    let mut walls = Vec::new();
+    for job in report.get("jobs").and_then(|j| j.as_arr()).unwrap() {
+        let wall = format!(
+            "{:.3}",
+            job.get("wall_ms").and_then(|w| w.as_f64()).unwrap()
+        );
+        let boxes = job.get("metrics").unwrap().get("boxes");
+        let rows = boxes.and_then(|b| b.as_arr()).map_or(1, |b| b.len());
+        walls.extend(std::iter::repeat_n(wall, rows));
+    }
+    let mut expected = String::new();
+    for (i, line) in stdout(&canonical).lines().enumerate() {
+        let last = if i == 0 { "wall_ms" } else { &walls[i - 1] };
+        expected.push_str(&format!("{line},{last}\n"));
+    }
+    assert_eq!(walls.len() + 1, stdout(&canonical).lines().count());
+    assert_eq!(stdout(&timed), expected);
 }
 
 #[test]
@@ -251,6 +282,30 @@ fn journal_cli_rejects_bad_inputs() {
         "{}",
         stderr(&out)
     );
+
+    // A report field of the wrong type is a garbage report, not a
+    // zero: every view rejects it. The well-typed twin renders.
+    let report = |seed: &str| {
+        format!(
+            r#"{{"campaign": "sweep", "master_seed": 1, "scale": 100,
+            "benchmarks": ["c432"], "seeds": [1], "split_layers": [4],
+            "attacks": ["flow"], "jobs": [{{"benchmark": "c432",
+            "seed": {seed}, "split_layer": 4, "attack": "flow",
+            "derived_seed": 7, "metrics": {{"ccr_protected_pct": 0.0,
+            "oer_pct": 0.0, "hd_pct": 0.0, "ccr_original_pct": 0.0}}}}],
+            "aggregates": []}}"#
+        )
+    };
+    std::fs::write(dir.join("good.json"), report("1")).unwrap();
+    std::fs::write(dir.join("bad.json"), report(r#""x""#)).unwrap();
+    for format in ["csv", "agg-csv", "table"] {
+        let out = smctl(&["report", "--input", "good.json", "--format", format], dir);
+        assert_eq!(exit_code(&out), 0, "{format}: {}", stderr(&out));
+        let out = smctl(&["report", "--input", "bad.json", "--format", format], dir);
+        assert_eq!(exit_code(&out), 2, "{format} accepted a non-numeric seed");
+        assert!(stderr(&out).contains("`seed`"), "{}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{format} printed a partial report");
+    }
 
     // A JSON report is not a journal: resume must fall back to the
     // report path, and a journal is not a JSON report.

@@ -6,9 +6,8 @@
 //! engine caches bundles content-keyed (see [`crate::cache`]) and shares
 //! them between jobs.
 //!
-//! These types started life as `sm_bench::suite`; they moved here so the
-//! engine can own caching without depending on the experiment
-//! definitions (which depend on the engine).
+//! They live in the engine so it can own caching without depending on
+//! the experiment definitions (which depend on the engine).
 
 use sm_benchgen::iscas::{self, IscasProfile};
 use sm_benchgen::superblue::{self, SuperblueProfile};
@@ -269,4 +268,84 @@ pub fn iscas_profile_by_name(name: &str) -> Option<IscasProfile> {
 /// Looks up a superblue profile by benchmark name.
 pub fn superblue_profile_by_name(name: &str) -> Option<SuperblueProfile> {
     SuperblueProfile::all().into_iter().find(|p| p.name == name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Quick-mode smoke test: the ISCAS bundle builder produces a
+    /// non-empty protected-net set and is deterministic for a fixed seed.
+    #[test]
+    fn iscas_run_is_nonempty_and_deterministic() {
+        let profile = IscasProfile::c432();
+        let a = IscasRun::build(&profile, 5);
+        let b = IscasRun::build(&profile, 5);
+        let nets_a = a.protected.protected_nets();
+        assert!(
+            !nets_a.is_empty(),
+            "protection must randomize at least one net"
+        );
+        assert_eq!(nets_a, b.protected.protected_nets());
+        assert_eq!(
+            a.protected.randomization.swapped_connections(),
+            b.protected.randomization.swapped_connections()
+        );
+        assert_eq!(a.netlist.num_nets(), b.netlist.num_nets());
+        assert_eq!(
+            a.protected.feol_routing.total_wirelength_dbu(),
+            b.protected.feol_routing.total_wirelength_dbu()
+        );
+        assert_eq!(
+            a.original.routing.via_counts(),
+            b.original.routing.via_counts()
+        );
+    }
+
+    /// Different seeds must not produce the identical randomization.
+    #[test]
+    fn iscas_run_varies_with_seed() {
+        let profile = IscasProfile::c432();
+        let a = IscasRun::build(&profile, 1);
+        let b = IscasRun::build(&profile, 2);
+        assert_ne!(
+            a.protected.randomization.swapped_connections(),
+            b.protected.randomization.swapped_connections()
+        );
+    }
+
+    /// Quick-mode smoke test for the superblue builder: all three
+    /// layouts exist, the protected-net set is non-empty and shared with
+    /// the naive-lifting baseline, and the build is deterministic.
+    #[test]
+    fn superblue_run_is_nonempty_and_deterministic() {
+        let profile = SuperblueProfile::superblue18();
+        let scale = 400; // extra-small for the smoke test
+        let a = SuperblueRun::build(&profile, scale, 7);
+        let b = SuperblueRun::build(&profile, scale, 7);
+        assert!(!a.protected_nets.is_empty());
+        assert_eq!(a.protected_nets, b.protected_nets);
+        assert_eq!(a.netlist.num_nets(), b.netlist.num_nets());
+        assert_eq!(
+            a.original.routing.via_counts(),
+            b.original.routing.via_counts()
+        );
+        assert_eq!(a.lifted.routing.via_counts(), b.lifted.routing.via_counts());
+        assert_eq!(
+            a.protected.restored_routing.via_counts(),
+            b.protected.restored_routing.via_counts()
+        );
+    }
+
+    /// Selections honor quick mode.
+    #[test]
+    fn selections_respect_quick() {
+        assert_eq!(iscas_selection(true).len(), 2);
+        assert_eq!(iscas_selection(false).len(), IscasProfile::all().len());
+        assert_eq!(superblue_selection(true).len(), 1);
+        assert_eq!(
+            superblue_selection(false).len(),
+            SuperblueProfile::all().len()
+        );
+    }
 }

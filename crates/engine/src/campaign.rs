@@ -817,8 +817,8 @@ impl Campaign {
 
 // ----- reports --------------------------------------------------------
 
-/// The per-job CSV columns shared by [`Campaign::to_csv`] and
-/// [`json_to_csv`] (a `wall_ms` column is appended for timed reports).
+/// The per-job CSV columns of [`Campaign::to_csv`] (a `wall_ms` column
+/// is appended for timed reports).
 pub const CSV_HEADER: [&str; 16] = [
     "benchmark",
     "seed",
@@ -1185,95 +1185,6 @@ pub(crate) fn phase_ms(ms: f64) -> f64 {
     (ms * 1e3).round() / 1e3
 }
 
-/// Converts a parsed campaign JSON report (as produced by
-/// [`Campaign::to_json`]) into the CSV format of [`Campaign::to_csv`],
-/// so `smctl report` can re-render stored reports without re-running the
-/// campaign.
-pub fn json_to_csv(report: &Json) -> Result<String, String> {
-    let jobs = report
-        .get("jobs")
-        .and_then(Json::as_arr)
-        .ok_or("not a campaign report: missing `jobs` array")?;
-    let timed = jobs
-        .first()
-        .map(|j| j.get("wall_ms").is_some())
-        .unwrap_or(false);
-    let mut rows = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let field = |key: &str| -> Result<&Json, String> {
-            job.get(key).ok_or(format!("job {i}: missing `{key}`"))
-        };
-        let base = base_fields(
-            field("benchmark")?.as_str().unwrap_or_default(),
-            field("seed")?.as_u64().unwrap_or_default(),
-            field("split_layer")?.as_u64().unwrap_or_default(),
-            field("attack")?.as_str().unwrap_or_default(),
-            field("derived_seed")?.as_u64().unwrap_or_default(),
-        );
-        let metrics = field("metrics")?;
-        let wall = job
-            .get("wall_ms")
-            .and_then(Json::as_f64)
-            .map(|w| format!("{w:.3}"))
-            .unwrap_or_default();
-        let wall = timed.then_some(wall.as_str());
-        let fnum = |m: &Json, key: &str| {
-            m.get(key)
-                .and_then(Json::as_f64)
-                .map(f4)
-                .unwrap_or_default()
-        };
-        if metrics.get("ccr_protected_pct").is_some() {
-            rows.push(flow_row(
-                &base,
-                [
-                    fnum(metrics, "ccr_protected_pct"),
-                    fnum(metrics, "oer_pct"),
-                    fnum(metrics, "hd_pct"),
-                    fnum(metrics, "ccr_original_pct"),
-                ],
-                wall,
-            ));
-        } else if metrics.get("vpins_protected").is_some() {
-            let vpins = [
-                metrics
-                    .get("vpins_protected")
-                    .and_then(Json::as_u64)
-                    .unwrap_or_default()
-                    .to_string(),
-                metrics
-                    .get("vpins_original")
-                    .and_then(Json::as_u64)
-                    .unwrap_or_default()
-                    .to_string(),
-            ];
-            for bx in metrics.get("boxes").and_then(Json::as_arr).unwrap_or(&[]) {
-                rows.push(crouting_row(
-                    &base,
-                    vpins.clone(),
-                    [
-                        bx.get("bbox_tracks")
-                            .and_then(Json::as_i64)
-                            .map(|v| v.to_string())
-                            .unwrap_or_default(),
-                        fnum(bx, "els_protected"),
-                        fnum(bx, "match_protected"),
-                        fnum(bx, "els_original"),
-                        fnum(bx, "match_original"),
-                    ],
-                    wall,
-                ));
-            }
-        } else if metrics.get("timed_out").is_some() || metrics.get("failed").is_some() {
-            // Placeholder outcome: no measurement row (matches
-            // `Campaign::to_csv`).
-        } else {
-            return Err(format!("job {i}: unrecognized metrics shape"));
-        }
-    }
-    Ok(csv(&csv_header(timed), &rows))
-}
-
 fn outcome_json(o: &JobOutcome, opts: ReportOptions) -> Json {
     let mut pairs = vec![
         ("benchmark".to_string(), Json::str(o.job.benchmark.name())),
@@ -1535,6 +1446,15 @@ fn outcome_from_json(job: &Json, spec: &SweepSpec) -> Result<JobOutcome, String>
     } else {
         return Err("unrecognized metrics shape".into());
     };
+    // Present only in timed reports; read back so their CSV view keeps
+    // its `wall_ms` column.
+    let wall = match job.get("wall_ms") {
+        None => Duration::ZERO,
+        Some(v) => v
+            .as_f64()
+            .and_then(|ms| Duration::try_from_secs_f64(ms / 1e3).ok())
+            .ok_or("`wall_ms` is not a non-negative number")?,
+    };
     Ok(JobOutcome {
         job: Job {
             index: 0, // re-assigned when merged against an expansion
@@ -1546,7 +1466,7 @@ fn outcome_from_json(job: &Json, spec: &SweepSpec) -> Result<JobOutcome, String>
             layout_seed: spec.layout_seed,
         },
         metrics: parsed,
-        wall: Duration::ZERO,
+        wall,
         phases: Vec::new(),
     })
 }

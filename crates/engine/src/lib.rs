@@ -93,7 +93,7 @@ pub use store::{
 
 #[cfg(test)]
 mod tests {
-    use super::campaign::{run_sweep, SweepSpec};
+    use super::campaign::{run_sweep, Campaign, SweepSpec};
     use super::job::AttackKind;
     use super::report::ReportOptions;
     use super::Budget;
@@ -129,9 +129,10 @@ mod tests {
         // Two (bench, seed) points, one bundle build each.
         assert_eq!(a.cache.builds, 2);
         assert_eq!(a.cache.hits as usize, a.outcomes.len() - 2);
-        // JSON → CSV conversion matches direct CSV emission.
+        // A stored report parses back to the same CSV as direct emission.
         let parsed = crate::report::Json::parse(&ja).unwrap();
-        assert_eq!(crate::campaign::json_to_csv(&parsed).unwrap(), ca);
+        let reparsed = Campaign::from_json(&parsed).unwrap();
+        assert_eq!(reparsed.to_csv(ReportOptions::default()), ca);
     }
 
     /// Timing-inclusive reports carry the same job payloads plus
