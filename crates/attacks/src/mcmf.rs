@@ -10,7 +10,8 @@
 //!
 //! # Engine
 //!
-//! [`MinCostFlow::run_cost_scaling`] solves the problem in two stages:
+//! [`MinCostFlow::run`] solves every instance, at every scale, in two
+//! stages:
 //!
 //! 1. **Value** — a capped Dinic max-flow fixes the flow value
 //!    `F = min(max_flow, maxflow(s, t))` in `O(E·√V)` on the attack's
@@ -29,37 +30,22 @@
 //! lowest-edge-id-first arc scans — no hash-map iteration anywhere), so
 //! the solution is a pure function of the instance: the same graph
 //! always yields the same flow, which is what lets campaign reports stay
-//! byte-identical across runs, thread counts and machines.
-//!
-//! # Tie pinning: why [`MinCostFlow::run`] dispatches by demand
-//!
-//! Min-cost flows are **not unique**: real attack instances carry exact
-//! cost ties (tens of tied candidate edges on c432 alone), every optimal
-//! flow is equally correct, and which one a solver returns is an
-//! artifact of its traversal order. The committed ISCAS campaign
-//! reports pin the successive-shortest-path engine's particular choice,
-//! and no faster algorithm reproduces that choice — so [`MinCostFlow::run`]
-//! keeps requests of up to [`MinCostFlow::PINNED_SSP_MAX_DEMAND`] units
-//! on the retained SSP engine (every ISCAS instance; c7552/M3 is the
-//! largest at 7022 units, and SSP's `O(F·E)` is cheap at that size) and
-//! routes larger requests — the superblue-scale instances SSP made
-//! unreachable — to the cost-scaling engine. Both paths are
-//! deterministic; the differential harness below pins them to agree on
-//! flow value and total cost everywhere, and on the full per-edge flow
-//! whenever the optimum is unique.
+//! byte-identical across runs, thread counts and machines. Min-cost
+//! optima are not unique — real attack instances carry exact cost ties —
+//! so *which* optimum is returned is this engine's traversal order; any
+//! change to that order is a versioned report change.
 //!
 //! # Oracle and certificate
 //!
-//! The previous successive-shortest-path implementation is retained
-//! verbatim as [`reference::SspFlow`] — the pinned small-instance engine
-//! and the differential-test oracle the scaling engine is measured
-//! against. [`certificate`] checks any solved instance against the
-//! textbook optimality conditions — capacity feasibility, flow
-//! conservation, maximality of the value, and non-negative reduced
+//! Test builds carry the previous successive-shortest-path engine as
+//! `reference::SspFlow`, the differential-test oracle the scaling engine
+//! is measured against. [`certificate`] checks any solved instance
+//! against the textbook optimality conditions — capacity feasibility,
+//! flow conservation, maximality of the value, and non-negative reduced
 //! costs under potentials recovered from the residual graph — and runs
 //! automatically after every solve in debug builds (hence under
-//! `cargo test`), so a regression in either engine cannot produce a
-//! plausible-but-suboptimal assignment silently.
+//! `cargo test`), so a regression cannot produce a plausible-but-
+//! suboptimal assignment silently.
 
 use std::collections::VecDeque;
 
@@ -96,8 +82,8 @@ impl MinCostFlow {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range or the cost is negative
-    /// (the historical SSP contract, kept so both engines accept exactly
-    /// the same instances).
+    /// (the SSP oracle's contract, kept so the engine and its test oracle
+    /// accept exactly the same instances).
     pub fn add_edge(&mut self, from: usize, to: usize, cap: i64, cost: i64) -> usize {
         assert!(from < self.adj.len() && to < self.adj.len(), "node range");
         assert!(cost >= 0, "negative costs unsupported");
@@ -147,57 +133,21 @@ impl MinCostFlow {
             .collect()
     }
 
-    /// The largest `max_flow` request [`MinCostFlow::run`] still solves
-    /// on the pinned SSP engine. Sized between the largest ISCAS
-    /// instance (c7552 at the M3 split asks for 7022 units — frozen by
-    /// the committed campaign reports) and the smallest superblue-class
-    /// one (superblue18 at bench scale asks for 13130).
-    pub const PINNED_SSP_MAX_DEMAND: i64 = 8192;
-
     /// Sends up to `max_flow` units from `s` to `t`; returns
-    /// `(flow, cost)`.
-    ///
-    /// Requests of up to [`MinCostFlow::PINNED_SSP_MAX_DEMAND`] units
-    /// solve on the tie-pinned SSP engine, larger ones on the
-    /// cost-scaling engine (see the module docs). In debug builds the
-    /// solution is re-verified against the optimality certificate before
-    /// it is returned.
+    /// `(flow, cost)`. In debug builds the solution is re-verified
+    /// against the optimality certificate before it is returned.
     pub fn run(&mut self, s: usize, t: usize, max_flow: i64) -> (i64, i64) {
         self.run_interruptible(s, t, max_flow, &mut || false)
             .expect("uncancellable run")
     }
 
     /// [`MinCostFlow::run`] with a cooperative stop check, consulted at
-    /// phase boundaries — between ε-scaling phases on the cost-scaling
-    /// path, every few augmenting rounds on the pinned SSP path — and
-    /// never inside one, so a solve that *completes* is bit-identical
-    /// whether or not a token was attached. Returns `None` if
-    /// `should_stop` reported `true` at a boundary; the instance is then
-    /// left holding a partial flow and must not be read further.
+    /// phase boundaries — after the Dinic stage and between ε-scaling
+    /// phases — and never inside one, so a solve that *completes* is
+    /// bit-identical whether or not a token was attached. Returns `None`
+    /// if `should_stop` reported `true` at a boundary; the instance is
+    /// then left holding a partial flow and must not be read further.
     pub fn run_interruptible(
-        &mut self,
-        s: usize,
-        t: usize,
-        max_flow: i64,
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Option<(i64, i64)> {
-        if max_flow <= Self::PINNED_SSP_MAX_DEMAND {
-            self.run_pinned_ssp(s, t, max_flow, should_stop)
-        } else {
-            self.run_cost_scaling_interruptible(s, t, max_flow, should_stop)
-        }
-    }
-
-    /// Solves on the cost-scaling engine regardless of demand — the
-    /// forced path the differential harness and perf benches use.
-    pub fn run_cost_scaling(&mut self, s: usize, t: usize, max_flow: i64) -> (i64, i64) {
-        self.run_cost_scaling_interruptible(s, t, max_flow, &mut || false)
-            .expect("uncancellable run")
-    }
-
-    /// [`MinCostFlow::run_cost_scaling`] with a stop check between
-    /// scaling phases (see [`MinCostFlow::run_interruptible`]).
-    pub fn run_cost_scaling_interruptible(
         &mut self,
         s: usize,
         t: usize,
@@ -217,34 +167,6 @@ impl MinCostFlow {
         #[cfg(debug_assertions)]
         certificate::verify(self, s, t, max_flow).expect("optimality certificate");
         Some((flow, total_cost))
-    }
-
-    /// Mirrors the instance into the retained SSP engine, solves there
-    /// (its tie-breaking is what the committed ISCAS reports pin), and
-    /// copies the flow back so `flow_on` reads identically to the
-    /// historical engine.
-    fn run_pinned_ssp(
-        &mut self,
-        s: usize,
-        t: usize,
-        max_flow: i64,
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Option<(i64, i64)> {
-        assert!(s < self.adj.len() && t < self.adj.len(), "node range");
-        let mut ssp = reference::SspFlow::new(self.adj.len());
-        for eid in (0..self.edges.len()).step_by(2) {
-            let e = &self.edges[eid];
-            ssp.add_edge(self.edges[eid ^ 1].to, e.to, e.cap, e.cost);
-        }
-        let out = ssp.run_interruptible(s, t, max_flow, should_stop)?;
-        for eid in (0..self.edges.len()).step_by(2) {
-            let f = ssp.flow_on(eid);
-            self.edges[eid].flow = f;
-            self.edges[eid ^ 1].flow = -f;
-        }
-        #[cfg(debug_assertions)]
-        certificate::verify(self, s, t, max_flow).expect("optimality certificate");
-        Some(out)
     }
 
     // ----- stage 1: flow value (Dinic) -----------------------------------
@@ -469,9 +391,9 @@ pub mod certificate {
     //!    makes the recovery itself fail.
     //!
     //! The checker is deliberately engine-agnostic — it consumes
-    //! [`EdgeView`]s, so it verifies the scaling engine, the
-    //! [`reference`](super::reference) oracle, and deliberately corrupted
-    //! flows (which it must reject) through one code path. Debug builds
+    //! [`EdgeView`]s, so it verifies the scaling engine, the test-only
+    //! SSP oracle, and deliberately corrupted flows (which it must
+    //! reject) through one code path. Debug builds
     //! run it after every [`MinCostFlow::run`](super::MinCostFlow::run).
 
     use super::MinCostFlow;
@@ -697,13 +619,13 @@ pub mod certificate {
     }
 }
 
+#[cfg(test)]
 pub mod reference {
     //! The successive-shortest-path engine the scaling rewrite replaced,
-    //! retained **verbatim** as the differential-test oracle: slow
+    //! kept in test builds as the differential-test oracle: slow
     //! (quadratic in the flow value) but classical and easy to audit.
-    //! Production code must use [`MinCostFlow`](super::MinCostFlow); this
-    //! module exists so every change to the fast engine is pinned
-    //! against an independent implementation.
+    //! It exists so every change to [`MinCostFlow`](super::MinCostFlow)
+    //! is pinned against an independent implementation.
 
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -791,23 +713,6 @@ pub mod reference {
         /// Sends up to `max_flow` units from `s` to `t`; returns
         /// `(flow, cost)`.
         pub fn run(&mut self, s: usize, t: usize, max_flow: i64) -> (i64, i64) {
-            self.run_interruptible(s, t, max_flow, &mut || false)
-                .expect("uncancellable run")
-        }
-
-        /// [`SspFlow::run`] with a cooperative stop check, consulted
-        /// every 64 augmenting rounds (a phase boundary: never inside a
-        /// round, so a completed solve is bit-identical whether or not a
-        /// token was attached). Returns `None` once `should_stop`
-        /// reports `true`; the instance then holds a partial flow and
-        /// must not be read further.
-        pub fn run_interruptible(
-            &mut self,
-            s: usize,
-            t: usize,
-            max_flow: i64,
-            should_stop: &mut dyn FnMut() -> bool,
-        ) -> Option<(i64, i64)> {
             let n = self.adj.len();
             let mut potential = vec![0i64; n];
             let mut total_flow = 0i64;
@@ -821,12 +726,7 @@ pub mod reference {
             let mut prev_edge = vec![usize::MAX; n];
             let mut reached: Vec<usize> = Vec::with_capacity(n);
             let mut heap = BinaryHeap::new();
-            let mut rounds = 0u64;
             while total_flow < max_flow {
-                if rounds.is_multiple_of(64) && should_stop() {
-                    return None;
-                }
-                rounds += 1;
                 // Dijkstra on reduced costs.
                 for &v in &reached {
                     dist[v] = i64::MAX;
@@ -881,7 +781,7 @@ pub mod reference {
                 }
                 total_flow += push;
             }
-            Some((total_flow, total_cost))
+            (total_flow, total_cost)
         }
     }
 }
@@ -954,60 +854,35 @@ mod tests {
 
     #[test]
     fn interruption_at_a_phase_boundary_returns_none() {
-        // Both engine paths must honor the stop check, and a
-        // never-firing check must change nothing.
-        for scaling in [false, true] {
-            let build = || {
-                let mut f = MinCostFlow::new(4);
-                f.add_edge(0, 1, 2, 3);
-                f.add_edge(1, 2, 2, 5);
-                f.add_edge(2, 3, 2, 1);
-                f
-            };
-            let mut f = build();
-            let mut calls = 0usize;
-            let stop = |calls: &mut usize| {
-                *calls += 1;
-                true
-            };
-            let out = if scaling {
-                f.run_cost_scaling_interruptible(0, 3, 2, &mut || stop(&mut calls))
-            } else {
-                f.run_interruptible(0, 3, 2, &mut || stop(&mut calls))
-            };
-            assert!(out.is_none(), "scaling={scaling}");
-            assert!(calls >= 1);
-            let mut g = build();
-            let solved = if scaling {
-                g.run_cost_scaling_interruptible(0, 3, 2, &mut || false)
-            } else {
-                g.run_interruptible(0, 3, 2, &mut || false)
-            };
-            assert_eq!(solved, Some((2, 2 * 9)), "scaling={scaling}");
-        }
+        // The stop check must be honored, and a never-firing check must
+        // change nothing.
+        let build = || {
+            let mut f = MinCostFlow::new(4);
+            f.add_edge(0, 1, 2, 3);
+            f.add_edge(1, 2, 2, 5);
+            f.add_edge(2, 3, 2, 1);
+            f
+        };
+        let mut calls = 0usize;
+        let out = build().run_interruptible(0, 3, 2, &mut || {
+            calls += 1;
+            true
+        });
+        assert!(out.is_none());
+        assert!(calls >= 1);
+        let solved = build().run_interruptible(0, 3, 2, &mut || false);
+        assert_eq!(solved, Some((2, 2 * 9)));
     }
 
-    /// Small demands dispatch to the pinned SSP path: `run` must agree
-    /// with the oracle **edge-for-edge**, even on instances full of
-    /// zero-cost ties where the scaling engine is free to differ — this
-    /// is exactly the guarantee that keeps ISCAS campaign reports
-    /// byte-identical across the engine rewrite.
+    /// The first 64 generator seeds, checked edge-for-edge: on these
+    /// tie-free instances the engine must pick exactly the oracle's
+    /// matching, not just an equally cheap one.
     #[test]
-    fn auto_dispatch_pins_small_instances_to_the_oracle_matching() {
+    fn small_bipartite_seeds_match_the_oracle_edge_for_edge() {
         for seed in 0..64u64 {
             let (mut pair, s, t, demand) = bipartite_instance(seed);
-            assert!(demand <= MinCostFlow::PINNED_SSP_MAX_DEMAND);
-            let fast = pair.fast.run(s, t, demand);
-            let oracle = pair.oracle.run(s, t, demand);
-            assert_eq!(fast, oracle);
-            for &h in &pair.handles {
-                assert_eq!(
-                    pair.fast.flow_on(h),
-                    pair.oracle.flow_on(h),
-                    "pinned path must reproduce the oracle's tie-breaking"
-                );
-            }
-            verify(&pair.fast, s, t, demand).expect("pinned-path certificate");
+            let (_, _, same) = pair.run_both(s, t, demand);
+            assert!(same, "seed {seed}: engines disagreed on the matching");
         }
     }
 
@@ -1036,11 +911,11 @@ mod tests {
             self.handles.push(h);
         }
 
-        /// Runs the forced cost-scaling path against the oracle and
-        /// checks value/cost equality plus both certificates. Returns
+        /// Runs the engine against the oracle and checks value/cost
+        /// equality plus both certificates. Returns
         /// `(flow, cost, matchings_equal)`.
         fn run_both(&mut self, s: usize, t: usize, max_flow: i64) -> (i64, i64, bool) {
-            let fast = self.fast.run_cost_scaling(s, t, max_flow);
+            let fast = self.fast.run(s, t, max_flow);
             let oracle = self.oracle.run(s, t, max_flow);
             assert_eq!(fast.0, oracle.0, "flow value differs from the oracle");
             assert_eq!(fast.1, oracle.1, "total cost differs from the oracle");

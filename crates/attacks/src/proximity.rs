@@ -901,51 +901,58 @@ mod differential_tests {
     //! flow network `network_flow_attack` builds for generated ISCAS
     //! layouts (via the shared [`AssignmentInstance`] constructor, so
     //! the tested network can never drift from the attacked one),
-    //! solved by both MCMF engines. Real instances carry exact cost
-    //! ties (unlike the tie-free random instances in `mcmf::tests`), so
-    //! the pin here is flow value + total cost + both certificates —
-    //! which optimal matching gets picked is the engines' documented
-    //! freedom, and the report-byte guarantee comes from the demand
-    //! dispatch in `MinCostFlow::run`.
+    //! solved by the production engine and the SSP oracle. Real
+    //! instances carry exact cost ties (unlike the tie-free random
+    //! instances in `mcmf::tests`), so the pin here is flow value +
+    //! total cost + both certificates — which optimal matching gets
+    //! picked is the engine's documented freedom.
 
     use super::*;
     use crate::mcmf::certificate::{verify, verify_edges};
     use crate::mcmf::{reference::SspFlow, MinCostFlow};
+    use sm_benchgen::iscas::IscasProfile;
     use sm_core::baselines::original_layout;
     use sm_layout::split_layout;
 
     #[test]
     fn real_iscas_instances_agree_on_value_and_cost() {
-        let profile = sm_benchgen::iscas::IscasProfile::c432();
-        let n = sm_benchgen::iscas::generate(&profile, 1);
-        let base = original_layout(&n, 0.6, 1);
-        let mut attacked = 0usize;
-        for layer in [3u8, 4, 5] {
-            let split = split_layout(&n, &base.placement, &base.routing, layer);
-            if split.cut_nets == 0 {
-                continue;
+        for profile in [
+            IscasProfile::c432(),
+            IscasProfile::c880(),
+            IscasProfile::c1355(),
+        ] {
+            let n = sm_benchgen::iscas::generate(&profile, 1);
+            let base = original_layout(&n, 0.6, 1);
+            let mut attacked = 0usize;
+            for layer in [3u8, 4, 5, 6] {
+                let split = split_layout(&n, &base.placement, &base.routing, layer);
+                if split.cut_nets == 0 {
+                    continue;
+                }
+                attacked += 1;
+                let inst = AssignmentInstance::build(&n, &split, &ProximityConfig::default());
+                let mut fast = MinCostFlow::new(inst.nodes);
+                let mut ssp = SspFlow::new(inst.nodes);
+                for &(from, to, cap, cost) in &inst.edges {
+                    fast.add_edge(from, to, cap, cost);
+                    ssp.add_edge(from, to, cap, cost);
+                }
+                let a = fast.run(inst.source, inst.target, inst.demand);
+                let b = ssp.run(inst.source, inst.target, inst.demand);
+                let at = format!("{} layer {layer}", profile.name);
+                assert_eq!(a, b, "engines disagree on {at}");
+                verify(&fast, inst.source, inst.target, inst.demand)
+                    .unwrap_or_else(|v| panic!("scaling certificate on {at}: {v}"));
+                verify_edges(
+                    ssp.num_nodes(),
+                    &ssp.edge_views(),
+                    inst.source,
+                    inst.target,
+                    inst.demand,
+                )
+                .unwrap_or_else(|v| panic!("oracle certificate on {at}: {v}"));
             }
-            attacked += 1;
-            let inst = AssignmentInstance::build(&n, &split, &ProximityConfig::default());
-            let mut fast = MinCostFlow::new(inst.nodes);
-            let mut ssp = SspFlow::new(inst.nodes);
-            for &(from, to, cap, cost) in &inst.edges {
-                fast.add_edge(from, to, cap, cost);
-                ssp.add_edge(from, to, cap, cost);
-            }
-            let a = fast.run_cost_scaling(inst.source, inst.target, inst.demand);
-            let b = ssp.run(inst.source, inst.target, inst.demand);
-            assert_eq!(a, b, "engines disagree on layer {layer}");
-            verify(&fast, inst.source, inst.target, inst.demand).expect("scaling certificate");
-            verify_edges(
-                ssp.num_nodes(),
-                &ssp.edge_views(),
-                inst.source,
-                inst.target,
-                inst.demand,
-            )
-            .expect("oracle certificate");
+            assert!(attacked >= 2, "expected cut nets on most layers");
         }
-        assert!(attacked >= 2, "expected cut nets on most layers");
     }
 }

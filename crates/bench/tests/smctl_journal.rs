@@ -307,6 +307,12 @@ fn journal_cli_rejects_bad_inputs() {
         assert!(out.stdout.is_empty(), "{format} printed a partial report");
     }
 
+    // Hostile nesting is a parse error, not a stack overflow.
+    std::fs::write(dir.join("deep.json"), "[".repeat(100_000)).unwrap();
+    let out = smctl(&["report", "--input", "deep.json"], dir);
+    assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+    assert!(stderr(&out).starts_with("error: "), "{}", stderr(&out));
+
     // A JSON report is not a journal: resume must fall back to the
     // report path, and a journal is not a JSON report.
     std::fs::write(dir.join("garbage.journal"), b"SMJLxx not frames").unwrap();

@@ -34,7 +34,7 @@
 //! concatenation.
 
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -60,10 +60,12 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"SMJL";
 /// wholesale (mirroring the store's versioning policy). v2 added the
 /// spec's optional pinned layout seed to `campaign-started` records;
 /// v3 added the `job-failed` and `store-lock-stolen` events plus the
-/// `campaign-finished` failed-job counter. Old journals fail loudly
-/// with a version message rather than decoding to a silently-empty
-/// prefix.
-pub const JOURNAL_VERSION: u16 = 3;
+/// `campaign-finished` failed-job counter; v4 marks flow-attack
+/// outcomes solved by the single cost-scaling min-cost-flow engine, so
+/// `resume` and `report --journal` never mix them with the retired
+/// SSP engine's. Old journals fail loudly with a version message rather
+/// than decoding to a silently-empty prefix.
+pub const JOURNAL_VERSION: u16 = 4;
 
 /// Bytes of file header before the first frame.
 const HEADER_LEN: usize = 6;
@@ -829,12 +831,18 @@ impl Journal {
         }
     }
 
+    /// Opens the log for appending, writing the header into an empty
+    /// file. A non-empty file must already carry this build's header:
+    /// frames appended after a foreign one (an older version's log)
+    /// would make the whole file unreadable, so that is an error and the
+    /// file is left untouched.
     fn open_for_append(&self) -> std::io::Result<fs::File> {
         if let Some(dir) = self.path.parent() {
             fs::create_dir_all(dir)?;
         }
         let mut file = fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&self.path)?;
         if file.metadata()?.len() == 0 {
@@ -842,6 +850,12 @@ impl Journal {
             w.put_bytes(&JOURNAL_MAGIC);
             JOURNAL_VERSION.encode(&mut w);
             file.write_all(&w.into_bytes())?;
+        } else {
+            let mut header = Vec::with_capacity(HEADER_LEN);
+            (&mut file)
+                .take(HEADER_LEN as u64)
+                .read_to_end(&mut header)?;
+            check_journal_header(&header).map_err(std::io::Error::other)?;
         }
         Ok(file)
     }

@@ -51,8 +51,10 @@ pub const STORE_MAGIC: [u8; 4] = *b"SMST";
 /// Store format version. Bump on **any** change to the encodings in this
 /// workspace; readers treat other versions as misses so stale artifacts
 /// are rebuilt, never misparsed. v2 = per-stage artifacts with LZ
-/// compression (v1 stored whole uncompressed bundles).
-pub const STORE_FORMAT_VERSION: u16 = 2;
+/// compression (v1 stored whole uncompressed bundles). v3 = flow-attack
+/// outcomes from the single cost-scaling min-cost-flow engine, so a warm
+/// store never serves outcomes the retired SSP engine computed.
+pub const STORE_FORMAT_VERSION: u16 = 3;
 
 /// Header flag bit: the payload is LZ-compressed.
 const FLAG_LZ: u8 = 1;

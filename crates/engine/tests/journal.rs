@@ -449,3 +449,33 @@ fn follower_restarts_cleanly_after_truncation_or_rotation() {
     reborn.record(&started);
     assert_eq!(follower.poll().unwrap(), vec![started]);
 }
+
+/// A journal left by another format version is never appended to:
+/// frames after a foreign header would make `read_events` reject the
+/// whole file. The writer degrades to journal-less operation instead
+/// and leaves the old log byte-for-byte as it was.
+#[test]
+fn foreign_version_journal_is_left_untouched() {
+    let scratch = Scratch::new("foreign-header");
+    let spec = tiny_spec();
+    let old = Journal::for_spec(scratch.path(), &spec);
+    old.record(&Event::CampaignStarted {
+        spec: spec.clone(),
+        threads: 1,
+    });
+    // Rewrite the header's version field (little-endian u16 after the
+    // magic) to the previous format's.
+    let mut bytes = fs::read(old.path()).unwrap();
+    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    bytes[4..6].copy_from_slice(&(version - 1).to_le_bytes());
+    fs::write(old.path(), &bytes).unwrap();
+
+    let journal = Journal::for_spec(scratch.path(), &spec);
+    journal.record(&Event::CampaignStarted {
+        spec: spec.clone(),
+        threads: 2,
+    });
+    assert_eq!(fs::read(journal.path()).unwrap(), bytes, "file untouched");
+    let err = read_events(journal.path()).unwrap_err();
+    assert!(err.contains(&format!("version {}", version - 1)), "{err}");
+}
