@@ -10,7 +10,7 @@
 //! smctl tail <dir|file>       live per-job progress (events --follow)
 //! smctl chaos                 fault-injection smoke: crash, resume, byte-diff
 //! smctl store stats|gc|clear|doctor  inspect/maintain the artifact store
-//! smctl serve --socket S      campaign service with work-stealing workers
+//! smctl serve --socket S      campaign service with a bounded queue
 //! smctl submit --socket S     submit a sweep to a running service
 //! smctl status --socket S     snapshot a running service's queue
 //! smctl help                  this text
@@ -62,15 +62,12 @@ use sm_bench::cli;
 use sm_bench::session::Session;
 use sm_bench::{RunOptions, StoreMode};
 use sm_engine::campaign::{
-    merge_outcomes, merge_reports, missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign,
-    SweepSpec,
+    merge_reports, resume_campaign, run_sweep_budgeted, Campaign, SweepSpec,
 };
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{find_journal, materialize, read_events, Event, Journal, JournalFollower};
 use sm_engine::report::{Json, ReportOptions};
-use sm_engine::serve::{
-    client_shutdown, client_status, client_submit, serve, simulate_campaign, ServeConfig, SimPlan,
-};
+use sm_engine::serve::{client_shutdown, client_status, client_submit, serve, ServeConfig};
 use sm_engine::store::ArtifactStore;
 use sm_engine::{iscas_selection, superblue_selection, ArtifactCache};
 use sm_exec::fault::{FaultInject, FaultProfile};
@@ -107,9 +104,6 @@ USAGE:
     smctl serve --socket PATH [--workers N] [--max-queued N] [--threads N]
                 [--store DIR] [--store-cap SIZE]
     smctl serve --stop --socket PATH
-    smctl serve --simulate N [--kill W@K,...] [--sim-seed N] [sweep axes]
-                [--threads N] [--format F] [--out FILE]
-                [--store DIR | --no-store] [--store-cap SIZE]
     smctl submit --socket PATH [sweep axes] [--follow]
                 [--format json|csv|agg-csv|table] [--out FILE]
     smctl status --socket PATH
@@ -207,27 +201,21 @@ SERVE:
     `smctl serve` runs the campaign service: it listens on a Unix-domain
     socket, admits sweep specs into a bounded queue (past --max-queued,
     submissions are rejected — back-pressure, not unbounded buffering),
-    and executes one campaign at a time on a fleet of --workers
-    work-stealing workers (idle workers steal job ranges from loaded
-    ones; all workers share the --threads budget). The service holds the
+    and executes one campaign at a time exactly as `smctl sweep` would,
+    with at most --workers of its jobs in flight (default 2; --threads
+    caps them too, and each job's bundle build and layout sweeps share
+    an equal split of the --threads budget). The service holds the
     store's maintenance lock for its lifetime, so eviction needs no
     per-sweep lock dance. Reports are canonical: byte-identical to a
-    solo `smctl sweep` of the same spec, whatever the worker count or
-    steal pattern. Duplicate submissions of a spec already queued,
-    running or completed attach to that campaign instead of re-running.
+    solo `smctl sweep` of the same spec, whatever the worker count.
+    Duplicate submissions of a spec already queued, running or
+    completed attach to that campaign instead of re-running.
 
     `smctl submit` sends one sweep to a running service and prints the
     final report (exit codes match `sweep`: 3 timed-out, 4 failed);
     --follow streams the campaign's journal events to stderr while it
     runs. `smctl status` prints a queue snapshot. `smctl serve --stop`
     drains the queue and shuts the service down.
-
-    `smctl serve --simulate N` runs the same fleet protocol as a
-    deterministic in-process simulation of N workers (cycle-stepped,
-    seeded scheduling; no socket): --kill W@K kills worker W at its
-    first pickup after K completed jobs, re-queueing its remaining
-    ranges. The merged report is byte-identical to a solo sweep of the
-    spec — the CI determinism gate runs exactly this.
 
 FORMATS:
     json      canonical campaign report (storable, resumable)
@@ -427,15 +415,7 @@ fn fault_injector(opts: &RunOptions) -> Option<Arc<dyn FaultInject>> {
 /// `smctl sweep`: expand axes, run on the pool, emit the report.
 fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
     let opts = default_store(RunOptions::from_slice(args)?);
-    let mut spec = SweepSpec {
-        benchmarks: Vec::new(),
-        seeds: vec![1],
-        split_layers: vec![3, 4, 5],
-        attacks: vec![AttackKind::NetworkFlow],
-        scale: opts.scale,
-        master_seed: opts.seed,
-        layout_seed: None,
-    };
+    let mut spec = base_spec(&opts);
     let mut format = "json".to_string();
     let mut out_path: Option<String> = None;
     let mut timings = false;
@@ -444,27 +424,18 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
 
     let mut i = 0;
     while i < args.len() {
+        if parse_axis_flag(&mut spec, args, &mut i)? {
+            i += 1;
+            continue;
+        }
         let (flag, inline) = cli::split_flag(args[i].as_str());
         match flag {
-            "--benchmarks" => {
-                spec.benchmarks = parse_benchmarks(&cli::flag_value(flag, inline, args, &mut i)?)?
-            }
-            "--seeds" => spec.seeds = parse_seeds(&cli::flag_value(flag, inline, args, &mut i)?)?,
-            "--split-layers" => {
-                spec.split_layers = parse_layers(&cli::flag_value(flag, inline, args, &mut i)?)?
-            }
-            "--attacks" => {
-                spec.attacks = parse_attacks(&cli::flag_value(flag, inline, args, &mut i)?)?
-            }
             "--jobs" => {
                 job_filter = Some(parse_indices(&cli::flag_value(
                     flag, inline, args, &mut i,
                 )?)?)
             }
             "--shard" => shard = Some(parse_shard(&cli::flag_value(flag, inline, args, &mut i)?)?),
-            "--layout-seed" => {
-                spec.layout_seed = Some(parse_u64(&cli::flag_value(flag, inline, args, &mut i)?)?)
-            }
             "--format" => format = cli::flag_value(flag, inline, args, &mut i)?,
             "--out" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
             "--timings" => {
@@ -484,14 +455,9 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
         }
         i += 1;
     }
-    if spec.benchmarks.is_empty() {
-        // Same semantics as `smctl run`: full ISCAS selection
-        // by default, the c432/c880 pair under `--quick`.
-        spec.benchmarks = iscas_selection(opts.quick)
-            .iter()
-            .map(|p| p.name.to_string())
-            .collect();
-    }
+    // Same semantics as `smctl run`: full ISCAS selection by default,
+    // the c432/c880 pair under `--quick`.
+    default_benchmarks(&mut spec, opts.quick);
     check_format(&format)?;
     if let Some((k, n)) = shard {
         // Sugar over --jobs: shard K of N takes every Nth job starting
@@ -511,26 +477,13 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
         job_filter = Some(indices);
     }
 
-    let mut cache = cache_for(&opts);
-    // Store-backed sweeps journal their lifecycle next to the store:
-    // the file is named by the spec's fingerprint, so shards and
-    // resumes of the same campaign append to the same log.
-    let journal = cache.store().map(|store| {
-        let journal = Journal::for_spec(store.root(), &spec);
-        Arc::new(match fault_injector(&opts) {
-            Some(faults) => journal.with_faults(faults),
-            None => journal,
-        })
-    });
-    if let Some(journal) = &journal {
-        cache = cache.with_journal(Arc::clone(journal));
-    }
+    let cache = journaled_cache(&opts, &spec);
     // One budget for the whole sweep: `--threads` worth of workers
     // shared by jobs, bundle builds and nested bisection sweeps, with
     // the `--timeout-secs` deadline attached.
     let budget = opts.budget();
     let campaign = run_sweep_budgeted(&spec, &budget, &cache, job_filter.as_deref())?;
-    if let Some(journal) = &journal {
+    if let Some(journal) = cache.journal() {
         eprintln!("journal: {}", journal.path().display());
     }
     let rendered = render_campaign(&campaign, &format, timings);
@@ -556,6 +509,22 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
         &campaign,
         resume_path.as_deref().unwrap_or("<report.json>"),
     ))
+}
+
+/// The cache a campaign of `spec` runs against (see [`cache_for`]).
+/// Store-backed campaigns journal their lifecycle next to the store:
+/// the file is named by the spec's fingerprint, so shards and resumes
+/// of the same campaign append to the same log.
+fn journaled_cache(opts: &RunOptions, spec: &SweepSpec) -> ArtifactCache {
+    let cache = cache_for(opts);
+    let Some(store) = cache.store() else {
+        return cache;
+    };
+    let mut journal = Journal::for_spec(store.root(), spec);
+    if let Some(faults) = fault_injector(opts) {
+        journal = journal.with_faults(faults);
+    }
+    cache.with_journal(Arc::new(journal))
 }
 
 /// One stderr line of store counters, when a store is attached.
@@ -610,74 +579,43 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             .is_ok_and(|()| magic == sm_engine::journal::JOURNAL_MAGIC)
             .then(|| input_path.to_path_buf())
     };
-    let (stored, journal) = match &journal_input {
-        Some(journal_path) => {
-            let campaign = materialize(&read_events(journal_path)?)
-                .map_err(|e| format!("{}: {e}", journal_path.display()))?;
-            (campaign, Some(Arc::new(Journal::at(journal_path.clone()))))
-        }
+    let stored = match &journal_input {
+        Some(journal_path) => materialize(&read_events(journal_path)?)
+            .map_err(|e| format!("{}: {e}", journal_path.display()))?,
         None => {
             let text =
                 std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-            let stored =
-                Campaign::from_json(&Json::parse(&text).map_err(|e| format!("{path}: {e}"))?)
-                    .map_err(|e| format!("{path}: {e}"))?;
-            (stored, None)
+            Campaign::from_json(&Json::parse(&text).map_err(|e| format!("{path}: {e}"))?)
+                .map_err(|e| format!("{path}: {e}"))?
         }
     };
 
-    let expansion = stored.spec.jobs()?;
-    let missing = missing_jobs(&expansion, &stored.outcomes);
+    let (present, timed_out) = (stored.outcomes.len(), stored.timed_out());
+    let finished = present - timed_out - stored.failed();
+
+    // The resumed jobs journal into the input log (journal input), or
+    // into the store's spec-fingerprinted journal (report input over a
+    // store) — either way, resume is log concatenation.
+    let cache = match &journal_input {
+        Some(journal_path) => {
+            cache_for(&opts).with_journal(Arc::new(Journal::at(journal_path.clone())))
+        }
+        None => journaled_cache(&opts, &stored.spec),
+    };
+    // A resume gets its own budget — and may itself carry a
+    // `--timeout-secs` deadline, in which case still-unfinished jobs
+    // stay timed-out and another resume continues from there.
+    let campaign = resume_campaign(stored, &opts.budget(), &cache)?;
+    // Every job of the expansion now has an outcome (fresh or stored).
+    let total = campaign.outcomes.len();
     eprintln!(
-        "{}: {} of {} jobs present ({} timed out), {} to run",
+        "{}: {present} of {total} jobs present ({timed_out} timed out), {} to run",
         journal_input
             .as_deref()
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| path.clone()),
-        stored.outcomes.len(),
-        expansion.len(),
-        stored.timed_out(),
-        missing.len()
+        total - finished
     );
-
-    let mut cache = cache_for(&opts);
-    // The resumed jobs journal into the input log (journal input), or
-    // into the store's spec-fingerprinted journal (report input over a
-    // store) — either way, resume is log concatenation.
-    let journal = journal.or_else(|| {
-        cache
-            .store()
-            .map(|store| Arc::new(Journal::for_spec(store.root(), &stored.spec)))
-    });
-    if let Some(journal) = &journal {
-        cache = cache.with_journal(Arc::clone(journal));
-    }
-    // A resume gets its own budget — and may itself carry a
-    // `--timeout-secs` deadline, in which case still-unfinished jobs
-    // stay timed-out and another resume continues from there.
-    let budget = opts.budget();
-    if let Some(journal) = &journal {
-        // Tolerated as a duplicate by materialize (same spec); needed
-        // when the resume starts a fresh journal from a report input.
-        journal.record(&Event::CampaignStarted {
-            spec: stored.spec.clone(),
-            threads: budget.threads() as u64,
-        });
-    }
-    let fresh = run_jobs_budgeted(&missing, &budget, &cache);
-    let outcomes = merge_outcomes(&expansion, stored.outcomes, fresh);
-    let campaign = Campaign {
-        spec: stored.spec,
-        outcomes,
-        cache: cache.stats(),
-        stages: cache.stage_stats(),
-        threads: budget.threads(),
-        total_wall: std::time::Duration::ZERO,
-        pool: budget.pool().stats(),
-    };
-    if let Some(journal) = &journal {
-        journal.record(&Event::campaign_finished(&campaign));
-    }
     // The canonical JSON report is always preserved. Report input: it
     // goes to --out for `--format json`, otherwise the input file is
     // updated in place. Journal input: the journal itself holds the
@@ -889,9 +827,9 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Sweep-axis flags shared by `smctl sweep`, `submit` and
-/// `serve --simulate`, parsed out of `args` into `spec`. Returns `true`
-/// when `args[*i]` was consumed as an axis flag.
+/// Sweep-axis flags shared by `smctl sweep` and `submit`, parsed out of
+/// `args` into `spec`. Returns `true` when `args[*i]` was consumed as an
+/// axis flag.
 fn parse_axis_flag(spec: &mut SweepSpec, args: &[String], i: &mut usize) -> Result<bool, String> {
     let (flag, inline) = cli::split_flag(args[*i].as_str());
     match flag {
@@ -936,47 +874,16 @@ fn default_benchmarks(spec: &mut SweepSpec, quick: bool) {
     }
 }
 
-/// Parses `--kill W@K,...` (worker W dies at its first pickup after K
-/// completed jobs).
-fn parse_kills(list: &str) -> Result<Vec<(usize, usize)>, String> {
-    let mut kills = Vec::new();
-    for part in list.split(',').filter(|p| !p.is_empty()) {
-        let (w, k) = part
-            .split_once('@')
-            .ok_or_else(|| format!("invalid --kill `{part}` (expected WORKER@AFTER_JOBS)"))?;
-        let w: usize = w
-            .parse()
-            .map_err(|e| format!("invalid --kill worker `{w}`: {e}"))?;
-        let k: usize = k
-            .parse()
-            .map_err(|e| format!("invalid --kill job count `{k}`: {e}"))?;
-        kills.push((w, k));
-    }
-    Ok(kills)
-}
-
-/// `smctl serve`: the campaign service (or its `--stop` sugar, or the
-/// deterministic `--simulate N` fleet run CI byte-diffs).
+/// `smctl serve`: the campaign service (or its `--stop` sugar).
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let opts = default_store(RunOptions::from_slice(args)?);
-    let mut spec = base_spec(&opts);
     let mut socket: Option<String> = None;
     let mut workers: usize = 2;
     let mut max_queued: usize = 16;
     let mut stop = false;
-    let mut simulate: Option<usize> = None;
-    let mut kills: Vec<(usize, usize)> = Vec::new();
-    let mut sim_seed: u64 = 1;
-    let mut format = "json".to_string();
-    let mut out_path: Option<String> = None;
-    let mut timings = false;
 
     let mut i = 0;
     while i < args.len() {
-        if parse_axis_flag(&mut spec, args, &mut i)? {
-            i += 1;
-            continue;
-        }
         let (flag, inline) = cli::split_flag(args[i].as_str());
         match flag {
             "--socket" => socket = Some(cli::flag_value(flag, inline, args, &mut i)?),
@@ -996,76 +903,21 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                 cli::no_value(flag, inline)?;
                 stop = true;
             }
-            "--simulate" => {
-                let v = cli::flag_value(flag, inline, args, &mut i)?;
-                simulate = Some(
-                    v.parse()
-                        .map_err(|e| format!("invalid --simulate `{v}`: {e}"))?,
-                );
-            }
-            "--kill" => kills = parse_kills(&cli::flag_value(flag, inline, args, &mut i)?)?,
-            "--sim-seed" => sim_seed = parse_u64(&cli::flag_value(flag, inline, args, &mut i)?)?,
-            "--format" => format = cli::flag_value(flag, inline, args, &mut i)?,
-            "--out" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--timings" => {
-                cli::no_value(flag, inline)?;
-                timings = true;
-            }
-            "--seed" | "--scale" | "--threads" | "--timeout-secs" | "--store" | "--store-cap"
-            | "--fault-seed" | "--fault-profile" => {
+            "--threads" | "--timeout-secs" | "--store" | "--store-cap" => {
                 let _ = cli::flag_value(flag, inline, args, &mut i)?;
             }
-            "--quick" | "--no-store" => cli::no_value(flag, inline)?,
+            "--no-store" => cli::no_value(flag, inline)?,
             other => return Err(format!("unknown serve flag `{other}`; see `smctl help`")),
         }
         i += 1;
     }
 
+    let socket = socket.ok_or("`smctl serve` needs --socket PATH")?;
     if stop {
-        let socket = socket.ok_or("`smctl serve --stop` needs --socket PATH")?;
         client_shutdown(std::path::Path::new(&socket))?;
         eprintln!("service at {socket} drained and stopped");
         return Ok(ExitCode::SUCCESS);
     }
-
-    if let Some(sim_workers) = simulate {
-        // The CI determinism leg: run the full dispatch/steal/death
-        // protocol in-process and emit a report that must byte-match a
-        // solo sweep of the same spec.
-        default_benchmarks(&mut spec, opts.quick);
-        check_format(&format)?;
-        let mut cache = cache_for(&opts);
-        let journal = cache.store().map(|store| {
-            let journal = Journal::for_spec(store.root(), &spec);
-            Arc::new(match fault_injector(&opts) {
-                Some(faults) => journal.with_faults(faults),
-                None => journal,
-            })
-        });
-        if let Some(journal) = &journal {
-            cache = cache.with_journal(Arc::clone(journal));
-        }
-        let budget = opts.budget();
-        let plan = SimPlan {
-            workers: sim_workers,
-            seed: sim_seed,
-            deaths: kills,
-        };
-        let (campaign, stats) = simulate_campaign(&spec, &plan, &budget, &cache)?;
-        eprintln!(
-            "fleet: {} simulated worker(s), {} steal(s), {} death(s)",
-            plan.workers, stats.steals, stats.deaths
-        );
-        emit(
-            &render_campaign(&campaign, &format, timings),
-            out_path.as_deref(),
-        )?;
-        eprintln!("{}", campaign.summary());
-        print_store_stats(&cache);
-        return Ok(campaign_exit(&campaign, "<report.json>"));
-    }
-
-    let socket = socket.ok_or("`smctl serve` needs --socket PATH (or --simulate N)")?;
     let store = opts.store_dir(Some(DEFAULT_STORE)).ok_or(
         "`smctl serve` needs a store (the coordinator owns its reservation); drop --no-store",
     )?;
@@ -1173,7 +1025,6 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
             .unwrap_or_else(|| "-".into())
     );
     println!("completed:  {}", status.completed);
-    println!("steals:     {}", status.steals);
     println!("jobs done:  {}", status.jobs_done);
     Ok(ExitCode::SUCCESS)
 }
@@ -1482,21 +1333,12 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
 
     // Fault-free resume over the same (possibly mangled) store: the
     // surviving results merge with re-runs of every placeholder.
-    let expansion = spec.jobs()?;
-    let missing = missing_jobs(&expansion, &chaotic.outcomes);
-    eprintln!("chaos: resuming {} job(s) fault-free", missing.len());
+    eprintln!(
+        "chaos: resuming {} job(s) fault-free",
+        chaotic.timed_out() + chaotic.failed()
+    );
     let resume_cache = ArtifactCache::with_store(Arc::new(ArtifactStore::open(dir_str, None)));
-    let fresh = run_jobs_budgeted(&missing, &budget, &resume_cache);
-    let outcomes = merge_outcomes(&expansion, chaotic.outcomes, fresh);
-    let resumed = Campaign {
-        spec,
-        outcomes,
-        cache: resume_cache.stats(),
-        stages: resume_cache.stage_stats(),
-        threads: budget.threads(),
-        total_wall: std::time::Duration::ZERO,
-        pool: budget.pool().stats(),
-    };
+    let resumed = resume_campaign(chaotic, &budget, &resume_cache)?;
     let resumed_json = render_campaign(&resumed, "json", false);
     let _ = std::fs::remove_dir_all(&dir);
     if resumed_json != baseline_json {
@@ -1506,7 +1348,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     }
     println!(
         "chaos: ok — {} job(s) converged to the fault-free report byte-for-byte",
-        expansion.len()
+        resumed.outcomes.len()
     );
     Ok(ExitCode::SUCCESS)
 }

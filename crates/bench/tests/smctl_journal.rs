@@ -323,4 +323,10 @@ fn journal_cli_rejects_bad_inputs() {
         "{}",
         stderr(&out)
     );
+
+    // A service with no workers is a usage error, refused before it
+    // binds its socket.
+    let out = smctl(&["serve", "--socket", "sm.sock", "--workers", "0"], dir);
+    assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+    assert!(stderr(&out).contains("workers"), "{}", stderr(&out));
 }

@@ -1,6 +1,11 @@
 //! Campaigns: expand a sweep specification into jobs, run them on the
 //! executor against the shared artifact cache, and assemble reports.
 //!
+//! A sweep ([`run_sweep_budgeted`]), a resume ([`resume_campaign`]) and
+//! a campaign served by [`serve`](crate::serve::serve) all execute
+//! inside one envelope, so they reserve bundles, run on the pool,
+//! journal and count the same way and write the same report bytes.
+//!
 //! Reports come in four shapes, all deterministic functions of the spec:
 //! canonical JSON (the storable format — [`Campaign::from_json`] parses
 //! it back, which powers `smctl resume`), per-job CSV, per-point
@@ -610,9 +615,6 @@ pub fn run_sweep(spec: &SweepSpec, budget: &Budget) -> Result<Campaign, String> 
 /// campaign's pool; jobs picked up after the budget's token is cancelled
 /// or its deadline passed come back as [`JobMetrics::TimedOut`].
 ///
-/// Per-key consumer counts are reserved up front, so each bundle is
-/// dropped from memory as soon as its last selected job finishes.
-///
 /// # Errors
 ///
 /// Returns an error for an invalid spec or an out-of-range job filter.
@@ -622,33 +624,119 @@ pub fn run_sweep_budgeted(
     cache: &ArtifactCache,
     filter: Option<&[usize]>,
 ) -> Result<Campaign, String> {
-    let mut jobs = spec.jobs()?;
-    if let Some(indices) = filter {
-        let total = jobs.len();
-        let mut selected: Vec<usize> = Vec::new();
-        for &i in indices {
-            if i >= total {
-                return Err(format!(
-                    "--jobs index {i} out of range (campaign has {total} jobs)"
-                ));
-            }
-            selected.push(i);
+    let expansion = spec.jobs()?;
+    let selected = filter
+        .map(|indices| select_jobs(&expansion, indices))
+        .transpose()?;
+    let jobs = selected.as_deref().unwrap_or(&expansion);
+    Ok(run_campaign(
+        spec,
+        &expansion,
+        jobs,
+        Vec::new(),
+        budget.threads(),
+        budget,
+        cache,
+    ))
+}
+
+/// The jobs at `indices` of `expansion`, in expansion order, each once.
+fn select_jobs(expansion: &[Job], indices: &[usize]) -> Result<Vec<Job>, String> {
+    let total = expansion.len();
+    let mut selected: Vec<usize> = Vec::new();
+    for &i in indices {
+        if i >= total {
+            return Err(format!(
+                "--jobs index {i} out of range (campaign has {total} jobs)"
+            ));
         }
-        selected.sort_unstable();
-        selected.dedup();
-        if selected.is_empty() {
-            return Err("--jobs selected no jobs".into());
-        }
-        jobs = selected.into_iter().map(|i| jobs[i].clone()).collect();
+        selected.push(i);
+    }
+    selected.sort_unstable();
+    selected.dedup();
+    if selected.is_empty() {
+        return Err("--jobs selected no jobs".into());
+    }
+    Ok(selected.into_iter().map(|i| expansion[i].clone()).collect())
+}
+
+/// Resumes a stored campaign (a parsed report or a materialized
+/// journal) inside `budget`: re-runs exactly its
+/// [`missing_jobs`] — absent, timed-out or failed — and merges them
+/// with the stored outcomes in expansion order. The resumed report is
+/// byte-identical to an uninterrupted run of the spec; a resume that
+/// itself times out stays partial, and another resume continues it.
+///
+/// # Errors
+///
+/// Returns an error when the stored spec no longer expands.
+pub fn resume_campaign(
+    stored: Campaign,
+    budget: &Budget,
+    cache: &ArtifactCache,
+) -> Result<Campaign, String> {
+    let Campaign { spec, outcomes, .. } = stored;
+    let expansion = spec.jobs()?;
+    let missing = missing_jobs(&expansion, &outcomes);
+    Ok(run_campaign(
+        &spec,
+        &expansion,
+        &missing,
+        outcomes,
+        budget.threads(),
+        budget,
+        cache,
+    ))
+}
+
+/// The one execution envelope every campaign runs in — solo sweeps,
+/// resumes and served campaigns alike. It reserves each bundle key's
+/// consumer count for `jobs` (so each bundle is built or decoded once
+/// and dropped from memory as soon as its last job finishes), journals
+/// `campaign-started`, runs `jobs` on the pool with at most `lanes` of
+/// them in flight, merges any `prior` outcomes with the fresh ones in
+/// `expansion` order, fills the cache, stage and pool counters and the
+/// wall time, and journals `campaign-finished`.
+pub(crate) fn run_campaign(
+    spec: &SweepSpec,
+    expansion: &[Job],
+    jobs: &[Job],
+    prior: Vec<JobOutcome>,
+    lanes: usize,
+    budget: &Budget,
+    cache: &ArtifactCache,
+) -> Campaign {
+    let mut uses: HashMap<_, usize> = HashMap::new();
+    for job in jobs {
+        *uses.entry(job.bundle_key()).or_insert(0) += 1;
+    }
+    for (key, count) in uses {
+        cache.reserve(key, count);
     }
     let start = Instant::now();
     if let Some(journal) = cache.journal() {
+        // A resume journaling into its campaign's existing log repeats
+        // this record; `materialize` tolerates the duplicate.
         journal.record(&Event::CampaignStarted {
             spec: spec.clone(),
             threads: budget.threads() as u64,
         });
     }
-    let outcomes = run_jobs_budgeted(&jobs, budget, cache);
+    // At most `lanes` jobs run concurrently — never more than the
+    // budget's threads — so each job's equal split of the budget, the
+    // sub-budget that bounds its bundle build and nested layout
+    // parallelism, divides by that, not by the sweep length.
+    let lanes = lanes.min(budget.threads()).min(jobs.len()).max(1);
+    let per_job = budget.split(lanes);
+    let fresh = Budget::on_pool(Arc::clone(budget.pool()), lanes)
+        .map(jobs, |_, job| run_job(cache, job, &per_job));
+    // Fresh outcomes already come in expansion order (duplicate axis
+    // values included); only stored ones need the keyed merge.
+    let outcomes = if prior.is_empty() {
+        fresh
+    } else {
+        merge_outcomes(expansion, prior, fresh)
+    };
     let campaign = Campaign {
         spec: spec.clone(),
         outcomes,
@@ -661,26 +749,7 @@ pub fn run_sweep_budgeted(
     if let Some(journal) = cache.journal() {
         journal.record(&Event::campaign_finished(&campaign));
     }
-    Ok(campaign)
-}
-
-/// Executes an explicit job list inside `budget`, reserving and
-/// releasing bundle claims so memory tracks the working set. Each job
-/// runs in an equal split of the campaign budget — the sub-budget that
-/// bounds its bundle build and nested layout parallelism. Outcomes come
-/// back in `jobs` order.
-pub fn run_jobs_budgeted(jobs: &[Job], budget: &Budget, cache: &ArtifactCache) -> Vec<JobOutcome> {
-    let mut uses: HashMap<_, usize> = HashMap::new();
-    for job in jobs {
-        *uses.entry(job.bundle_key()).or_insert(0) += 1;
-    }
-    for (key, count) in uses {
-        cache.reserve(key, count);
-    }
-    // At most `threads` jobs run concurrently, so the per-job share
-    // divides by that, not by the sweep length.
-    let per_job = budget.split(jobs.len().min(budget.threads()));
-    budget.map(jobs, |_, job| run_job(cache, job, &per_job))
+    campaign
 }
 
 // ----- aggregation --------------------------------------------------------
@@ -1665,6 +1734,24 @@ mod tests {
         );
     }
 
+    /// A repeated axis value expands to repeated jobs, and a sweep keeps
+    /// an outcome for each (only a resume merges outcomes by key).
+    #[test]
+    fn repeated_axis_values_keep_every_outcome() {
+        let spec = SweepSpec {
+            benchmarks: vec!["c432".into()],
+            seeds: vec![1, 1],
+            split_layers: vec![4],
+            attacks: vec![AttackKind::NetworkFlow],
+            scale: 100,
+            master_seed: 1,
+            layout_seed: None,
+        };
+        let campaign = run_sweep(&spec, &Budget::with_threads(Some(1))).unwrap();
+        let indices: Vec<usize> = campaign.outcomes.iter().map(|o| o.job.index).collect();
+        assert_eq!(indices, vec![0, 1]);
+    }
+
     #[test]
     fn missing_jobs_and_merge_reconstruct_a_partial_campaign() {
         let spec = SweepSpec {
@@ -1685,26 +1772,16 @@ mod tests {
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].index, 0);
 
-        let fresh = run_jobs_budgeted(&missing, &exec, &cache);
-        let merged = merge_outcomes(&expansion, partial.outcomes, fresh);
-        assert_eq!(merged.len(), expansion.len());
-        for (i, o) in merged.iter().enumerate() {
+        let resumed = resume_campaign(partial, &exec, &cache).unwrap();
+        assert_eq!(resumed.outcomes.len(), expansion.len());
+        for (i, o) in resumed.outcomes.iter().enumerate() {
             assert_eq!(o.job.index, i);
         }
 
-        // The merged report equals a from-scratch full run.
+        // The resumed report equals a from-scratch full run.
         let full = run_sweep(&spec, &exec).unwrap();
-        let merged_campaign = Campaign {
-            spec: spec.clone(),
-            outcomes: merged,
-            cache: CacheStats::default(),
-            stages: StageStats::default(),
-            threads: 0,
-            total_wall: Duration::ZERO,
-            pool: PoolStats::default(),
-        };
         assert_eq!(
-            merged_campaign.to_json(ReportOptions::default()).render(),
+            resumed.to_json(ReportOptions::default()).render(),
             full.to_json(ReportOptions::default()).render()
         );
     }

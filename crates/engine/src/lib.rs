@@ -20,19 +20,18 @@
 //!   under `.sm-store/journal/`: per-job provenance, live progress
 //!   (`smctl tail`/`events`) and crash-safe resume, with the canonical
 //!   report as a deterministic materialization of the log;
-//! * [`campaign`] — sweep expansion, budgeted job execution with
-//!   deadline/cancellation (timed-out jobs are a distinct outcome that
-//!   `smctl resume` re-runs), seed-sweep aggregation (mean/σ/min/max)
-//!   and report assembly, including re-running subsets of a stored
-//!   campaign (`smctl resume`) and merging sharded reports
-//!   (`smctl merge`);
+//! * [`campaign`] — sweep expansion, the one execution envelope that
+//!   sweeps, resumes and served campaigns share, budgeted job execution
+//!   with deadline/cancellation (timed-out jobs are a distinct outcome
+//!   that `smctl resume` re-runs), seed-sweep aggregation
+//!   (mean/σ/min/max) and report assembly, including resuming a stored
+//!   campaign and merging sharded reports (`smctl merge`);
 //! * [`report`] — deterministic JSON/CSV emission (timings opt-in, so
 //!   canonical reports are byte-identical across runs);
 //! * [`serve`] — the long-running campaign service behind `smctl
-//!   serve`: a socket-facing coordinator with admission control and a
-//!   host-level work-stealing [`Fleet`](serve::Fleet), plus a
-//!   deterministic N-worker simulation whose merged reports are
-//!   byte-identical to a solo sweep.
+//!   serve`: a socket-facing coordinator with a bounded campaign queue
+//!   and admission control, whose reports are byte-identical to a solo
+//!   sweep.
 //!
 //! Scheduling and resource ownership come from `sm_exec`, whose
 //! persistent work-stealing [`Pool`], splittable [`Budget`] and
@@ -76,16 +75,13 @@ pub mod store;
 pub use bundle::{iscas_selection, superblue_selection, IscasRun, StageSource, SuperblueRun};
 pub use cache::{ArtifactCache, BundleKey, CacheStats, SplitArm, StageStats};
 pub use campaign::{
-    merge_reports, run_job, run_jobs_budgeted, run_sweep, run_sweep_budgeted, Campaign, JobMetrics,
+    merge_reports, resume_campaign, run_job, run_sweep, run_sweep_budgeted, Campaign, JobMetrics,
     JobOutcome, SweepSpec,
 };
 pub use job::{AttackKind, Benchmark, Job};
 pub use journal::{Event, Journal, JournalFollower};
 pub use report::{Json, ReportOptions};
-pub use serve::{
-    client_shutdown, client_status, client_submit, serve, simulate_campaign, simulate_schedule,
-    Fleet, FleetStats, ServeConfig, ServiceStatus, SimPlan,
-};
+pub use serve::{client_shutdown, client_status, client_submit, serve, ServeConfig, ServiceStatus};
 pub use sm_exec::{Budget, CancelToken, Pool, PoolStats};
 pub use store::{
     ArtifactStore, Stage, StageHealth, StageUsage, StoreHealth, StoreLock, StoreStats, StoreUsage,

@@ -4,35 +4,21 @@
 //! (budgets, `--shard K/N`, resumable placeholders, `smctl merge`, the
 //! event-sourced journal); this module adds the **coordinator**: a
 //! service that accepts sweep specs over a Unix-domain socket, keeps a
-//! bounded campaign queue with admission control, dispatches contiguous
-//! job ranges to a fleet of workers, lets idle workers **steal** ranges
-//! from loaded ones, streams journal events back per campaign, and
-//! live-merges the workers' partial reports through
-//! [`merge_reports`](crate::campaign::merge_reports) — so the final
-//! canonical bytes are identical to a solo `smctl sweep` of the same
-//! spec.
+//! bounded campaign queue with admission control, runs one campaign at
+//! a time on the process [`Budget`], and streams journal events back
+//! per campaign.
 //!
-//! Three layers, each usable on its own:
+//! A served campaign runs inside the same execution envelope as a solo
+//! `smctl sweep` or a resume (bundle reservations, pool map, journal,
+//! counters; see [`crate::campaign`]), with at most
+//! [`ServeConfig::workers`] of its jobs in flight at once. Outcomes come
+//! back in canonical expansion order, so the final bytes are identical
+//! to a solo sweep of the same spec.
 //!
-//! * [`Fleet`] — the pure scheduling state machine (assignment queues,
-//!   backlog, steal decisions, death re-queueing). Deterministic: every
-//!   tie-break derives from a seed, never from wall clock or thread
-//!   timing.
-//! * [`simulate_campaign`] — a deterministic in-process simulation of N
-//!   workers over the fleet (SatSwarm-style cycle stepping: each cycle
-//!   every live worker completes one job, in a seeded rotation), with
-//!   injected worker deaths mid-shard. This is what CI byte-diffs
-//!   against a solo sweep.
-//! * [`serve`] / [`client_submit`] — the threaded service over the same
-//!   fleet, plus the framed socket protocol
-//!   ([`Request`]/[`Response`], [`sm_codec::frame`] frames over a
-//!   `UnixStream`).
-//!
-//! Determinism contract: job outcomes are pure functions of the job
-//! (never of which worker ran it), partial reports are merged in
-//! canonical expansion order, and canonical report bytes depend only on
-//! spec + outcomes — so any schedule (any worker count, any steal
-//! pattern, any death) reproduces the solo report byte-for-byte.
+//! [`serve`] is the service; [`client_submit`], [`client_status`] and
+//! [`client_shutdown`] speak its framed socket protocol
+//! ([`Request`]/[`Response`], [`sm_codec::frame`] frames over a
+//! `UnixStream`).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -40,393 +26,18 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sm_codec::{
     decode_from_slice, encode_to_vec, frame, CodecError, Decode, Encode, Reader, Writer,
 };
-use sm_exec::seed;
 
 use crate::cache::ArtifactCache;
-use crate::campaign::{merge_reports, run_job, run_jobs_budgeted, Campaign, SweepSpec};
-use crate::job::Job;
+use crate::campaign::{run_campaign, SweepSpec};
 use crate::journal::{spec_fingerprint, Event, Journal, JournalFollower};
 use crate::report::ReportOptions;
 use crate::store::ArtifactStore;
 use sm_exec::Budget;
-
-// ----- fleet: the scheduling state machine --------------------------------
-
-/// A contiguous half-open range of canonical job indices — the unit of
-/// dispatch and of stealing. Workers consume a range from the front;
-/// thieves take the upper half, so the victim keeps the jobs it is
-/// about to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobRange {
-    /// First job index in the range.
-    pub lo: usize,
-    /// One past the last job index.
-    pub hi: usize,
-}
-
-impl JobRange {
-    /// Jobs remaining in the range.
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// `true` when the range is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.lo >= self.hi
-    }
-
-    /// Splits off the upper half (for a thief), keeping the lower half
-    /// here. `None` when the range is too small to share.
-    fn split(&mut self) -> Option<JobRange> {
-        if self.len() < 2 {
-            return None;
-        }
-        let mid = self.lo + self.len() / 2;
-        let upper = JobRange {
-            lo: mid,
-            hi: self.hi,
-        };
-        self.hi = mid;
-        Some(upper)
-    }
-}
-
-/// What [`Fleet::next_job`] tells a worker to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Run this canonical job index, then call [`Fleet::complete`].
-    Run(usize),
-    /// Nothing dispatchable right now, but jobs are still in flight
-    /// elsewhere — poll again.
-    Wait,
-    /// Every job of the campaign has completed.
-    Done,
-    /// This worker just died (injected death); its remaining ranges
-    /// were re-queued to the backlog.
-    Died,
-}
-
-/// Counters a fleet accumulates while scheduling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Ranges stolen by idle workers from loaded ones.
-    pub steals: u64,
-    /// Workers that died mid-shard (their ranges were re-queued).
-    pub deaths: u64,
-}
-
-/// Host-level work-stealing scheduler state, shared by the threaded
-/// service and the deterministic simulation. All decisions (victim
-/// tie-breaks) derive from the campaign seed, so a schedule is a pure
-/// function of `(workers, total, seed, deaths)` and the order in which
-/// workers ask — never of wall clock.
-#[derive(Debug)]
-pub struct Fleet {
-    /// Per-worker queues of assigned ranges (front = next to run).
-    assigned: Vec<VecDeque<JobRange>>,
-    /// Ranges re-queued from dead workers, handed out before stealing.
-    backlog: VecDeque<JobRange>,
-    /// Jobs completed per worker (drives injected deaths).
-    completed: Vec<usize>,
-    /// Liveness per worker.
-    alive: Vec<bool>,
-    /// Injected death: worker dies at the first pickup after completing
-    /// this many jobs.
-    deaths: Vec<Option<usize>>,
-    /// Jobs not yet completed.
-    unfinished: usize,
-    /// Seed for steal tie-breaks.
-    seed: u64,
-    /// Seeded decisions taken so far (the derivation branch counter).
-    decisions: u64,
-    /// Scheduling counters.
-    stats: FleetStats,
-}
-
-impl Fleet {
-    /// A fleet of `workers` over jobs `0..total`, split up front into
-    /// balanced contiguous ranges. `deaths` lists injected
-    /// `(worker, after_jobs)` deaths — at least one worker must be
-    /// immortal, or the remaining ranges could never drain.
-    ///
-    /// # Errors
-    ///
-    /// Rejects zero workers, out-of-range death indices, and a death
-    /// plan that kills every worker.
-    pub fn new(
-        workers: usize,
-        total: usize,
-        seed: u64,
-        deaths: &[(usize, usize)],
-    ) -> Result<Fleet, String> {
-        if workers == 0 {
-            return Err("fleet needs at least one worker".into());
-        }
-        let mut death_plan: Vec<Option<usize>> = vec![None; workers];
-        for &(w, after) in deaths {
-            if w >= workers {
-                return Err(format!(
-                    "--kill worker {w} out of range (fleet has {workers})"
-                ));
-            }
-            // Two kill entries for one worker keep the earlier death.
-            let slot = &mut death_plan[w];
-            *slot = Some(slot.map_or(after, |k| k.min(after)));
-        }
-        if death_plan.iter().all(|d| d.is_some()) {
-            return Err("at least one worker must survive (--kill names them all)".into());
-        }
-        let mut assigned: Vec<VecDeque<JobRange>> = vec![VecDeque::new(); workers];
-        let chunk = total / workers;
-        let rem = total % workers;
-        let mut lo = 0;
-        for (w, queue) in assigned.iter_mut().enumerate() {
-            let len = chunk + usize::from(w < rem);
-            if len > 0 {
-                queue.push_back(JobRange { lo, hi: lo + len });
-            }
-            lo += len;
-        }
-        Ok(Fleet {
-            assigned,
-            backlog: VecDeque::new(),
-            completed: vec![0; workers],
-            alive: vec![true; workers],
-            deaths: death_plan,
-            unfinished: total,
-            seed,
-            decisions: 0,
-            stats: FleetStats::default(),
-        })
-    }
-
-    /// The next instruction for worker `w`: run a job (from its own
-    /// queue, the backlog, or stolen from the most-loaded peer), wait,
-    /// die (injected), or finish.
-    pub fn next_job(&mut self, w: usize) -> Dispatch {
-        if !self.alive[w] {
-            return Dispatch::Died;
-        }
-        // Injected death fires at pickup time — a worker never abandons
-        // a job it already started, it just stops taking new ones; its
-        // remaining ranges re-queue as resumable work for the others.
-        if let Some(after) = self.deaths[w] {
-            if self.completed[w] >= after {
-                self.alive[w] = false;
-                self.stats.deaths += 1;
-                while let Some(range) = self.assigned[w].pop_front() {
-                    self.backlog.push_back(range);
-                }
-                return Dispatch::Died;
-            }
-        }
-        if self.unfinished == 0 {
-            return Dispatch::Done;
-        }
-        if self.assigned[w].is_empty() {
-            if let Some(range) = self.backlog.pop_front() {
-                self.assigned[w].push_back(range);
-            } else if !self.steal_for(w) {
-                return Dispatch::Wait;
-            }
-        }
-        let Some(range) = self.assigned[w].front_mut() else {
-            return Dispatch::Wait;
-        };
-        let index = range.lo;
-        range.lo += 1;
-        if range.is_empty() {
-            self.assigned[w].pop_front();
-        }
-        Dispatch::Run(index)
-    }
-
-    /// Marks worker `w`'s in-flight job finished.
-    pub fn complete(&mut self, w: usize) {
-        self.completed[w] += 1;
-        self.unfinished = self.unfinished.saturating_sub(1);
-    }
-
-    /// Scheduling counters so far.
-    pub fn stats(&self) -> FleetStats {
-        self.stats
-    }
-
-    /// `true` when every job has completed.
-    pub fn done(&self) -> bool {
-        self.unfinished == 0
-    }
-
-    /// Tries to steal work for idle worker `w` from the most-loaded
-    /// peer (seeded tie-break among equals). A victim with several
-    /// queued ranges gives up its whole back range; a victim down to
-    /// one range gives up its upper half, keeping the jobs it is about
-    /// to run. Returns `true` when a range landed in `w`'s queue.
-    fn steal_for(&mut self, w: usize) -> bool {
-        let mut best: Vec<usize> = Vec::new();
-        let mut best_load = 0usize;
-        for (v, queue) in self.assigned.iter().enumerate() {
-            if v == w {
-                continue;
-            }
-            let load: usize = queue.iter().map(JobRange::len).sum();
-            if load > best_load {
-                best_load = load;
-                best.clear();
-                best.push(v);
-            } else if load > 0 && load == best_load {
-                best.push(v);
-            }
-        }
-        if best.is_empty() {
-            return false;
-        }
-        let pick = (seed::derive(self.seed, self.decisions) % best.len() as u64) as usize;
-        self.decisions += 1;
-        let victim = best[pick];
-        let stolen = if self.assigned[victim].len() > 1 {
-            self.assigned[victim].pop_back()
-        } else {
-            self.assigned[victim].front_mut().and_then(JobRange::split)
-        };
-        match stolen {
-            Some(range) => {
-                self.stats.steals += 1;
-                self.assigned[w].push_back(range);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-// ----- deterministic N-worker simulation ----------------------------------
-
-/// A simulated fleet: worker count, scheduling seed, and injected
-/// `(worker, after_jobs)` deaths.
-#[derive(Debug, Clone)]
-pub struct SimPlan {
-    /// Simulated workers.
-    pub workers: usize,
-    /// Seed for steal tie-breaks and the per-cycle worker rotation.
-    pub seed: u64,
-    /// Injected deaths: worker dies at its first pickup after
-    /// completing this many jobs.
-    pub deaths: Vec<(usize, usize)>,
-}
-
-impl Default for SimPlan {
-    fn default() -> Self {
-        SimPlan {
-            workers: 3,
-            seed: 1,
-            deaths: Vec::new(),
-        }
-    }
-}
-
-/// Runs the fleet as a SatSwarm-style cycle simulation: each cycle
-/// steps every worker once in a seeded rotation, and a stepped live
-/// worker completes exactly one job. Returns the per-worker job-index
-/// schedule plus the fleet's counters.
-///
-/// The schedule is a pure function of `(total, plan)` — no threads, no
-/// clocks — which is what lets CI pin the whole dispatch/steal/death
-/// protocol without real hosts.
-///
-/// # Errors
-///
-/// Propagates [`Fleet::new`] validation; errors if scheduling stalls
-/// (which would mean a fleet invariant is broken).
-pub fn simulate_schedule(
-    total: usize,
-    plan: &SimPlan,
-) -> Result<(Vec<Vec<usize>>, FleetStats), String> {
-    let mut fleet = Fleet::new(plan.workers, total, plan.seed, &plan.deaths)?;
-    let mut schedule: Vec<Vec<usize>> = vec![Vec::new(); plan.workers];
-    let mut cycle = 0u64;
-    while !fleet.done() {
-        let start = (seed::derive(plan.seed ^ 0x5e17, cycle) % plan.workers as u64) as usize;
-        let mut progressed = false;
-        for k in 0..plan.workers {
-            let w = (start + k) % plan.workers;
-            if let Dispatch::Run(index) = fleet.next_job(w) {
-                schedule[w].push(index);
-                fleet.complete(w);
-                progressed = true;
-            }
-        }
-        if !progressed && !fleet.done() {
-            return Err("fleet simulation stalled (scheduler invariant broken)".into());
-        }
-        cycle += 1;
-    }
-    Ok((schedule, fleet.stats()))
-}
-
-/// Runs `spec` through a simulated fleet: the deterministic schedule
-/// partitions the expansion across workers, each worker's jobs execute
-/// under a [`Budget::handoff`] of the campaign budget, per-worker
-/// partial reports merge through
-/// [`merge_reports`](crate::campaign::merge_reports) — byte-identical
-/// to a solo sweep of the same spec, whatever the worker count, steal
-/// pattern or injected deaths.
-///
-/// # Errors
-///
-/// Propagates spec validation and fleet-plan errors.
-pub fn simulate_campaign(
-    spec: &SweepSpec,
-    plan: &SimPlan,
-    budget: &Budget,
-    cache: &ArtifactCache,
-) -> Result<(Campaign, FleetStats), String> {
-    let expansion = spec.jobs()?;
-    let (schedule, stats) = simulate_schedule(expansion.len(), plan)?;
-    let start = Instant::now();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::CampaignStarted {
-            spec: spec.clone(),
-            threads: budget.threads() as u64,
-        });
-    }
-    let mut partials: Vec<Campaign> = Vec::new();
-    for indices in &schedule {
-        if indices.is_empty() {
-            continue;
-        }
-        let jobs: Vec<Job> = indices.iter().map(|&i| expansion[i].clone()).collect();
-        // Each worker gets a handed-off budget (child cancel token):
-        // exactly what the service gives a dispatched worker, so the
-        // simulation exercises the same resource path.
-        let worker_budget = budget.handoff(budget.threads());
-        let outcomes = run_jobs_budgeted(&jobs, &worker_budget, cache);
-        partials.push(Campaign {
-            spec: spec.clone(),
-            outcomes,
-            cache: Default::default(),
-            stages: Default::default(),
-            threads: 0,
-            total_wall: Duration::ZERO,
-            pool: Default::default(),
-        });
-    }
-    let mut merged = merge_reports(partials)?;
-    merged.cache = cache.stats();
-    merged.stages = cache.stage_stats();
-    merged.threads = budget.threads();
-    merged.total_wall = start.elapsed();
-    merged.pool = budget.pool().stats();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::campaign_finished(&merged));
-    }
-    Ok((merged, stats))
-}
 
 // ----- wire protocol -------------------------------------------------------
 
@@ -479,7 +90,7 @@ impl Decode for Request {
 /// A point-in-time service snapshot ([`Request::Status`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStatus {
-    /// Fleet workers per campaign.
+    /// Jobs of one campaign in flight at once ([`ServeConfig::workers`]).
     pub workers: u64,
     /// Campaigns waiting in the queue.
     pub queued: u64,
@@ -487,7 +98,9 @@ pub struct ServiceStatus {
     pub running: Option<u64>,
     /// Campaigns completed since the service started.
     pub completed: u64,
-    /// Job ranges stolen across all completed campaigns.
+    /// Always 0: campaigns run on the pool map, which hands out single
+    /// jobs and steals no job ranges. Kept so the wire format and its
+    /// readers stay unchanged.
     pub steals: u64,
     /// Jobs executed across all completed campaigns.
     pub jobs_done: u64,
@@ -661,7 +274,10 @@ fn recv_msg<T: Decode>(stream: &mut UnixStream) -> Result<Option<T>, String> {
 pub struct ServeConfig {
     /// Unix-domain socket path to listen on.
     pub socket: PathBuf,
-    /// Fleet workers per campaign.
+    /// Jobs of one campaign in flight at once (the service budget's
+    /// threads cap them too). Each job gets an equal split of the
+    /// budget for its nested work, so fewer workers leave more threads
+    /// to each job's bundle build and layout sweeps.
     pub workers: usize,
     /// Campaigns admitted to the queue at once (beyond the running
     /// one); submissions past this are [`Response::Rejected`].
@@ -690,7 +306,6 @@ struct ServiceState {
     /// error that stopped it).
     reports: HashMap<u64, Result<String, String>>,
     completed: u64,
-    steals: u64,
     jobs_done: u64,
     shutting_down: bool,
 }
@@ -705,94 +320,20 @@ fn poisoned<T>(guard: std::sync::LockResult<T>) -> T {
     guard.unwrap_or_else(|p| panic!("service state poisoned: {p:?}"))
 }
 
-/// Executes one campaign on a threaded fleet of `workers`: worker
-/// threads pull job indices from the shared [`Fleet`] (stealing ranges
-/// when idle), each runs under a [`Budget::handoff`] share, and the
-/// per-worker partial reports merge into the canonical campaign.
-fn run_fleet_campaign(
-    spec: &SweepSpec,
-    workers: usize,
-    budget: &Budget,
-    cache: &ArtifactCache,
-) -> Result<(Campaign, FleetStats), String> {
-    let expansion = spec.jobs()?;
-    let start = Instant::now();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::CampaignStarted {
-            spec: spec.clone(),
-            threads: budget.threads() as u64,
-        });
-    }
-    let fleet = Mutex::new(Fleet::new(workers, expansion.len(), spec.master_seed, &[])?);
-    let share = (budget.threads() / workers).max(1);
-    let partial_outcomes: Vec<_> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let worker_budget = budget.handoff(share);
-            let fleet = &fleet;
-            let expansion = &expansion;
-            handles.push(scope.spawn(move || {
-                let mut outcomes = Vec::new();
-                loop {
-                    let dispatch = poisoned(fleet.lock()).next_job(w);
-                    match dispatch {
-                        Dispatch::Run(index) => {
-                            let job = &expansion[index];
-                            cache.reserve(job.bundle_key(), 1);
-                            outcomes.push(run_job(cache, job, &worker_budget));
-                            poisoned(fleet.lock()).complete(w);
-                        }
-                        Dispatch::Wait => std::thread::sleep(Duration::from_millis(1)),
-                        Dispatch::Done | Dispatch::Died => break,
-                    }
-                }
-                outcomes
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect()
-    });
-    let stats = poisoned(fleet.lock()).stats();
-    let partials: Vec<Campaign> = partial_outcomes
-        .into_iter()
-        .filter(|outcomes| !outcomes.is_empty())
-        .map(|outcomes| Campaign {
-            spec: spec.clone(),
-            outcomes,
-            cache: Default::default(),
-            stages: Default::default(),
-            threads: 0,
-            total_wall: Duration::ZERO,
-            pool: Default::default(),
-        })
-        .collect();
-    let mut merged = merge_reports(partials)?;
-    merged.cache = cache.stats();
-    merged.stages = cache.stage_stats();
-    merged.threads = budget.threads();
-    merged.total_wall = start.elapsed();
-    merged.pool = budget.pool().stats();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::campaign_finished(&merged));
-    }
-    Ok((merged, stats))
-}
-
 /// Runs the campaign service until a [`Request::Shutdown`] drains it.
 ///
 /// The service binds `config.socket`, takes the store's maintenance
 /// lock for its lifetime (so eviction needs no per-sweep `.lock`
-/// dance), and executes queued campaigns one at a time on a threaded
-/// work-stealing fleet of `config.workers` workers sharing `budget`.
+/// dance), and executes queued campaigns one at a time inside the
+/// campaign envelope, up to `config.workers` jobs at once on `budget`.
 /// Reports are canonical: byte-identical to a solo `smctl sweep` of
 /// the same spec.
 ///
 /// # Errors
 ///
-/// Returns an error when the socket is taken by a live service, when
-/// the store lock is held by a live peer, or on listener setup failure.
+/// Returns an error for zero workers, when the socket is taken by a
+/// live service, when the store lock is held by a live peer, or on
+/// listener setup failure.
 pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
     if config.workers == 0 {
         return Err("--workers must be ≥ 1".into());
@@ -858,13 +399,22 @@ pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
             let journal = Arc::new(Journal::for_spec(store.root(), &next.spec));
             let cache =
                 ArtifactCache::with_store(Arc::clone(&store)).with_journal(Arc::clone(&journal));
-            let result = run_fleet_campaign(&next.spec, workers, &budget, &cache);
+            let result = next.spec.jobs().map(|expansion| {
+                run_campaign(
+                    &next.spec,
+                    &expansion,
+                    &expansion,
+                    Vec::new(),
+                    workers,
+                    &budget,
+                    &cache,
+                )
+            });
             let mut state = poisoned(shared.state.lock());
             state.running = None;
             state.completed += 1;
             match result {
-                Ok((campaign, stats)) => {
-                    state.steals += stats.steals;
+                Ok(campaign) => {
                     state.jobs_done += campaign.outcomes.len() as u64;
                     let json = campaign.to_json(ReportOptions::default()).render();
                     state.reports.insert(next.fingerprint, Ok(json));
@@ -1007,7 +557,7 @@ fn handle_conn(
                 queued: state.pending.len() as u64,
                 running: state.running,
                 completed: state.completed,
-                steals: state.steals,
+                steals: 0,
                 jobs_done: state.jobs_done,
             };
             drop(state);
@@ -1122,37 +672,6 @@ fn connect(socket: &Path) -> Result<UnixStream, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ranges_split_upper_half() {
-        let mut r = JobRange { lo: 4, hi: 10 };
-        let upper = r.split().unwrap();
-        assert_eq!(r, JobRange { lo: 4, hi: 7 });
-        assert_eq!(upper, JobRange { lo: 7, hi: 10 });
-        let mut tiny = JobRange { lo: 0, hi: 1 };
-        assert_eq!(tiny.split(), None);
-    }
-
-    #[test]
-    fn fleet_rejects_bad_plans() {
-        assert!(Fleet::new(0, 4, 1, &[]).is_err());
-        assert!(Fleet::new(2, 4, 1, &[(2, 0)]).is_err());
-        assert!(Fleet::new(2, 4, 1, &[(0, 0), (1, 0)]).is_err());
-    }
-
-    #[test]
-    fn schedules_are_reproducible() {
-        let plan = SimPlan {
-            workers: 4,
-            seed: 7,
-            deaths: vec![(2, 1)],
-        };
-        let (a, sa) = simulate_schedule(23, &plan).unwrap();
-        let (b, sb) = simulate_schedule(23, &plan).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-        assert_eq!(sa.deaths, 1);
-    }
 
     #[test]
     fn protocol_round_trips() {

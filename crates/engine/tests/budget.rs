@@ -13,12 +13,12 @@
 use std::time::Duration;
 
 use sm_engine::campaign::{
-    merge_outcomes, merge_reports, missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign,
+    merge_outcomes, merge_reports, missing_jobs, resume_campaign, run_sweep_budgeted, Campaign,
     SweepSpec,
 };
 use sm_engine::job::AttackKind;
 use sm_engine::report::{Json, ReportOptions};
-use sm_engine::{ArtifactCache, Budget, CacheStats, CancelToken, PoolStats};
+use sm_engine::{ArtifactCache, Budget, CancelToken};
 
 fn tiny_spec() -> SweepSpec {
     SweepSpec {
@@ -173,22 +173,12 @@ fn cancelled_flow_jobs_resume_to_byte_identical_reports() {
         None,
     )
     .unwrap();
-    let expansion = spec.jobs().unwrap();
-    let missing = missing_jobs(&expansion, &campaign.outcomes);
-    let fresh = run_jobs_budgeted(
-        &missing,
+    let resumed = resume_campaign(
+        campaign,
         &Budget::with_threads(Some(2)),
         &ArtifactCache::new(),
-    );
-    let resumed = Campaign {
-        spec: spec.clone(),
-        outcomes: merge_outcomes(&expansion, campaign.outcomes, fresh),
-        cache: CacheStats::default(),
-        stages: sm_engine::StageStats::default(),
-        threads: 0,
-        total_wall: Duration::ZERO,
-        pool: PoolStats::default(),
-    };
+    )
+    .unwrap();
     assert_eq!(canonical(&resumed), canonical(&full));
 }
 
@@ -228,24 +218,15 @@ fn cancelled_sweep_resumes_to_byte_identical_report() {
     let parsed = Campaign::from_json(&Json::parse(&canonical(&interrupted)).unwrap()).unwrap();
     assert_eq!(parsed.timed_out(), interrupted.timed_out());
 
-    // Timed-out jobs are the resume set; re-run and merge.
-    let expansion = spec.jobs().unwrap();
-    let missing = missing_jobs(&expansion, &parsed.outcomes);
+    // Timed-out jobs are the resume set; resume re-runs and merges them.
+    let missing = missing_jobs(&spec.jobs().unwrap(), &parsed.outcomes);
     assert_eq!(missing.len(), parsed.timed_out());
-    let fresh = run_jobs_budgeted(
-        &missing,
+    let resumed = resume_campaign(
+        parsed,
         &Budget::with_threads(Some(2)),
         &ArtifactCache::new(),
-    );
-    let resumed = Campaign {
-        spec: spec.clone(),
-        outcomes: merge_outcomes(&expansion, parsed.outcomes, fresh),
-        cache: CacheStats::default(),
-        stages: sm_engine::StageStats::default(),
-        threads: 0,
-        total_wall: Duration::ZERO,
-        pool: PoolStats::default(),
-    };
+    )
+    .unwrap();
     assert_eq!(resumed.timed_out(), 0);
     assert_eq!(canonical(&resumed), canonical(&full));
     assert_eq!(
@@ -330,40 +311,4 @@ fn merge_reports_reassembles_sharded_sweeps() {
     let err = merge_reports(vec![run_shard(0), other]).unwrap_err();
     assert!(err.contains("different sweep spec"), "{err}");
     assert!(merge_reports(Vec::new()).is_err());
-}
-
-/// `Budget::handoff` — the service's per-worker budget share — isolates
-/// cancellation downward only: cancelling a handed-off child never
-/// trips the campaign budget (one dead worker must not kill the
-/// fleet), while cancelling the parent still reaches every child.
-#[test]
-fn handoff_isolates_child_cancellation() {
-    let parent = Budget::with_threads(Some(2));
-    let a = parent.handoff(1);
-    let b = parent.handoff(1);
-    assert_eq!(a.threads(), 1);
-    assert!(
-        std::sync::Arc::ptr_eq(a.pool(), parent.pool()),
-        "handoff shares the pool"
-    );
-
-    // Child cancel stays contained.
-    a.cancel_token().cancel();
-    assert!(a.is_cancelled());
-    assert!(
-        !parent.is_cancelled(),
-        "a cancelled worker must not trip the campaign"
-    );
-    assert!(!b.is_cancelled(), "nor its sibling workers");
-
-    // Parent cancel reaches live children — even ones handed off first.
-    let c = parent.handoff(1);
-    parent.cancel_token().cancel();
-    assert!(parent.is_cancelled());
-    assert!(b.is_cancelled(), "campaign cancel reaches every worker");
-    assert!(c.is_cancelled());
-
-    // Zero-thread requests still yield a runnable (≥1 thread) share.
-    let floor = Budget::with_threads(Some(4)).handoff(0);
-    assert_eq!(floor.threads(), 1);
 }

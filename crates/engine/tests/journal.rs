@@ -17,9 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sm_engine::campaign::{
-    missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign, SweepSpec,
-};
+use sm_engine::campaign::{missing_jobs, resume_campaign, run_sweep_budgeted, Campaign, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{
     find_journal, materialize, read_events, Event, Journal, JournalFollower, MetricsSource,
@@ -316,9 +314,22 @@ fn interrupted_journal_plus_resume_materializes_to_uninterrupted_report() {
     let missing = missing_jobs(&expansion, &partial.outcomes);
     assert_eq!(missing.len(), expansion.len());
     let resume_cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
-    run_jobs_budgeted(&missing, &Budget::with_threads(Some(2)), &resume_cache);
+    resume_campaign(partial, &Budget::with_threads(Some(2)), &resume_cache).unwrap();
 
-    let resumed = materialize(&read_events(journal.path()).unwrap()).unwrap();
+    let events = read_events(journal.path()).unwrap();
+    // The resume closes the log with its own record and real wall time.
+    match events.last() {
+        Some(Event::CampaignFinished {
+            jobs,
+            total_wall_ms,
+            ..
+        }) => {
+            assert_eq!(*jobs, expansion.len() as u64);
+            assert!(*total_wall_ms > 0.0, "resume wall time is measured");
+        }
+        other => panic!("journal ends on {other:?}"),
+    }
+    let resumed = materialize(&events).unwrap();
     assert_eq!(resumed.timed_out(), 0);
     assert_eq!(canonical(&resumed), canonical(&full));
 }

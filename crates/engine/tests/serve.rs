@@ -1,28 +1,29 @@
 //! Campaign-service integration tests: the `smctl serve` guarantees.
 //!
-//! * the deterministic N-worker fleet simulation covers every job
-//!   exactly once, reproduces its schedule bit-for-bit, and its merged
-//!   report is **byte-identical** to a solo sweep — including under an
-//!   injected worker death that forces a re-queue and a steal;
+//! * a served campaign's report — and its journal, materialized — is
+//!   **byte-identical** to a solo sweep, whatever the worker count or
+//!   thread budget; it stays under both ceilings and decodes each
+//!   bundle once, like a solo sweep;
 //! * the live service round-trips submit/status/shutdown over its Unix
 //!   socket, streams journal events to a following client, and returns
 //!   the same canonical bytes as a solo sweep;
 //! * admission control bounces submissions past `max_queued` and
-//!   invalid specs, and a second service refuses a live socket.
+//!   invalid specs, a zero worker count is refused, and a second
+//!   service refuses a live socket.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
 use sm_engine::job::AttackKind;
-use sm_engine::journal::Event;
+use sm_engine::journal::{materialize, read_events, Event, Journal};
 use sm_engine::report::ReportOptions;
-use sm_engine::serve::{
-    client_shutdown, client_status, client_submit, serve, simulate_campaign, simulate_schedule,
-    ServeConfig, SimPlan,
-};
-use sm_engine::{ArtifactCache, Budget};
+use sm_engine::serve::{client_shutdown, client_status, client_submit, serve, ServeConfig};
+use sm_engine::store::ArtifactStore;
+use sm_engine::{ArtifactCache, Budget, CacheStats};
 
 struct Scratch(PathBuf);
 
@@ -50,8 +51,7 @@ impl Drop for Scratch {
     }
 }
 
-/// Eight jobs (4 seeds × 2 layers) over three workers: enough structure
-/// for initial splits, a backlog, and steals to all occur.
+/// Eight jobs (4 seeds × 2 layers) of one small benchmark.
 fn sim_spec() -> SweepSpec {
     SweepSpec {
         benchmarks: vec!["c432".into()],
@@ -76,78 +76,182 @@ fn solo_bytes(spec: &SweepSpec) -> String {
     .render()
 }
 
-/// Every (total, plan) combination yields a schedule that covers each
-/// job index exactly once — across deaths, uneven splits, and more
-/// workers than jobs — and replays bit-for-bit.
-#[test]
-fn schedules_cover_every_job_exactly_once_and_replay() {
-    type Combo = (usize, usize, Vec<(usize, usize)>);
-    let combos: Vec<Combo> = vec![
-        (8, 3, vec![]),
-        (8, 3, vec![(1, 0)]),
-        (17, 5, vec![(0, 1), (3, 0)]),
-        (1, 4, vec![]),
-        (12, 2, vec![(1, 2)]),
-    ];
-    for (total, workers, deaths) in combos {
-        let plan = SimPlan {
-            workers,
-            seed: 7,
-            deaths: deaths.clone(),
-        };
-        let (schedule, _) = simulate_schedule(total, &plan).unwrap();
-        let mut all: Vec<usize> = schedule.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(
-            all,
-            (0..total).collect::<Vec<_>>(),
-            "coverage for total={total} workers={workers} deaths={deaths:?}"
-        );
-        let (again, _) = simulate_schedule(total, &plan).unwrap();
-        assert_eq!(again, schedule, "schedules replay bit-for-bit");
+/// Starts a service over a fresh store under `scratch` and waits for
+/// its socket.
+fn start_service(
+    scratch: &Scratch,
+    workers: usize,
+    max_queued: usize,
+    threads: usize,
+) -> (ServeConfig, JoinHandle<Result<(), String>>) {
+    let config = ServeConfig {
+        socket: scratch.path().join("sm.sock"),
+        workers,
+        max_queued,
+        store: scratch.path().join("store"),
+        store_cap: None,
+    };
+    let service = {
+        let config = config.clone();
+        std::thread::spawn(move || serve(&config, &Budget::with_threads(Some(threads))))
+    };
+    for _ in 0..500 {
+        if config.socket.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    (config, service)
+}
+
+/// Drains and stops a service started by [`start_service`].
+fn stop_service(config: &ServeConfig, service: JoinHandle<Result<(), String>>) {
+    client_shutdown(&config.socket).expect("drain + shutdown");
+    service
+        .join()
+        .expect("service thread")
+        .expect("service exits cleanly");
+    assert!(!config.socket.exists(), "shutdown removes the socket");
+}
+
+/// Serves `spec` once on a fresh service; returns the report and the
+/// events of the campaign's journal.
+fn serve_once(spec: &SweepSpec, workers: usize, threads: usize) -> (String, Vec<Event>) {
+    let scratch = Scratch::new("once");
+    let (config, service) = start_service(&scratch, workers, 1, threads);
+    let json =
+        client_submit(&config.socket, spec, false, |_, _, _| {}, |_| {}).expect("served campaign");
+    stop_service(&config, service);
+    let events = read_events(Journal::for_spec(&config.store, spec).path()).unwrap();
+    (json, events)
+}
+
+/// The cache counters a campaign's journal closes with.
+fn finished_cache(events: &[Event]) -> CacheStats {
+    match events.last() {
+        Some(Event::CampaignFinished { cache, .. }) => *cache,
+        other => panic!("journal ends on {other:?}, not campaign-finished"),
     }
 }
 
-/// The headline service guarantee: a simulated fleet's merged report is
-/// byte-identical to a solo sweep — healthy or with a worker killed at
-/// its first pickup (re-queue + steal), at any thread budget.
+/// `true` when the journal's job-started and job-finished events
+/// alternate strictly — one job in flight at a time.
+fn one_job_at_a_time(events: &[Event]) -> bool {
+    let lifecycle: Vec<bool> = events
+        .iter()
+        .filter_map(|event| match event {
+            Event::JobStarted { .. } => Some(true),
+            Event::JobFinished { .. } => Some(false),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(lifecycle.len(), 2 * 8, "every job starts and finishes");
+    lifecycle
+        .iter()
+        .enumerate()
+        .all(|(i, &started)| started == (i % 2 == 0))
+}
+
+/// The headline service guarantee: a served report is byte-identical
+/// to a solo sweep, whatever the worker count or thread budget.
 #[test]
-fn simulated_fleet_reports_are_byte_identical_to_solo() {
+fn served_reports_are_byte_identical_to_solo() {
     let spec = sim_spec();
     let want = solo_bytes(&spec);
-    for (deaths, threads) in [
-        (vec![], 4usize),
-        (vec![], 1),
-        (vec![(1usize, 0usize)], 4),
-        (vec![(1, 0)], 1),
-    ] {
-        let plan = SimPlan {
-            workers: 3,
-            seed: 1,
-            deaths: deaths.clone(),
-        };
-        let (campaign, stats) = simulate_campaign(
-            &spec,
-            &plan,
-            &Budget::with_threads(Some(threads)),
-            &ArtifactCache::new(),
-        )
-        .unwrap();
+    for (workers, threads) in [(3, 4), (3, 1), (1, 2)] {
+        let (json, _) = serve_once(&spec, workers, threads);
         assert_eq!(
-            campaign.to_json(ReportOptions::default()).render(),
-            want,
-            "fleet bytes diverge (deaths={deaths:?} threads={threads})"
+            json, want,
+            "served bytes diverge (workers={workers} threads={threads})"
         );
-        if deaths.is_empty() {
-            assert_eq!(stats.deaths, 0);
-        } else {
-            assert_eq!(stats.deaths, 1, "the injected death fires");
-            assert!(
-                stats.steals >= 1,
-                "a worker killed at first pickup forces its range back out"
-            );
-        }
     }
+}
+
+/// A served campaign journals like any campaign: the log, materialized,
+/// renders the solo bytes.
+#[test]
+fn served_journal_materializes_to_solo_bytes() {
+    let spec = sim_spec();
+    let (_, events) = serve_once(&spec, 3, 2);
+    let replayed = materialize(&events).unwrap();
+    assert_eq!(
+        replayed.to_json(ReportOptions::default()).render(),
+        solo_bytes(&spec)
+    );
+}
+
+/// `--threads` is a ceiling for a served campaign: under one thread,
+/// three workers run one job at a time.
+#[test]
+fn one_thread_service_runs_one_job_at_a_time() {
+    let (_, events) = serve_once(&sim_spec(), 3, 1);
+    assert!(one_job_at_a_time(&events), "jobs overlap under --threads 1");
+}
+
+/// `--workers` is a ceiling too: one worker on four threads runs one
+/// job at a time (with the whole budget for its nested work).
+#[test]
+fn one_worker_service_runs_one_job_at_a_time() {
+    let (_, events) = serve_once(&sim_spec(), 1, 4);
+    assert!(one_job_at_a_time(&events), "jobs overlap under --workers 1");
+}
+
+/// A served campaign decodes each bundle once, like a solo sweep: one
+/// worker over four seeds of one pinned layout builds the bundle once
+/// and hits it three times.
+#[test]
+fn served_campaign_builds_a_pinned_bundle_once() {
+    let spec = SweepSpec {
+        seeds: vec![1, 2, 3, 4],
+        split_layers: vec![3],
+        layout_seed: Some(1),
+        ..sim_spec()
+    };
+    let scratch = Scratch::new("pinned-solo");
+    let store = Arc::new(ArtifactStore::open(scratch.path().join("store"), None));
+    let solo = run_sweep_budgeted(
+        &spec,
+        &Budget::with_threads(Some(1)),
+        &ArtifactCache::with_store(store),
+        None,
+    )
+    .unwrap();
+    let served = finished_cache(&serve_once(&spec, 1, 1).1);
+    assert_eq!((served.builds, served.hits), (1, 3));
+    assert_eq!(
+        (served.builds, served.hits, served.disk_hits),
+        (solo.cache.builds, solo.cache.hits, solo.cache.disk_hits)
+    );
+}
+
+/// A zero worker count is refused at start-up; any positive count is
+/// only a ceiling, so even an absurd one serves the solo bytes.
+#[test]
+fn worker_count_is_a_ceiling_not_an_allocation() {
+    let scratch = Scratch::new("zero-workers");
+    let config = ServeConfig {
+        socket: scratch.path().join("sm.sock"),
+        workers: 0,
+        max_queued: 1,
+        store: scratch.path().join("store"),
+        store_cap: None,
+    };
+    let err = serve(&config, &Budget::with_threads(Some(1))).unwrap_err();
+    assert!(err.contains("workers"), "{err}");
+    assert!(!config.socket.exists(), "refused before binding");
+
+    // Off the test thread, so a service that dies on the count fails
+    // the test instead of leaving the submission waiting forever.
+    let spec = sim_spec();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn({
+        let spec = spec.clone();
+        move || tx.send(serve_once(&spec, usize::MAX, 2).0)
+    });
+    let json = rx
+        .recv_timeout(Duration::from_secs(300))
+        .expect("a service with a huge worker count answers");
+    assert_eq!(json, solo_bytes(&spec));
 }
 
 /// Full socket lifecycle: status on an idle service, a followed submit
@@ -159,24 +263,8 @@ fn simulated_fleet_reports_are_byte_identical_to_solo() {
 #[test]
 fn service_round_trips_submit_status_shutdown() {
     let scratch = Scratch::new("round-trip");
-    let socket = scratch.path().join("sm.sock");
-    let config = ServeConfig {
-        socket: socket.clone(),
-        workers: 3,
-        max_queued: 4,
-        store: scratch.path().join("store"),
-        store_cap: None,
-    };
-    let service = {
-        let config = config.clone();
-        std::thread::spawn(move || serve(&config, &Budget::with_threads(Some(2))))
-    };
-    for _ in 0..500 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let (config, service) = start_service(&scratch, 3, 4, 2);
+    let socket = config.socket.clone();
 
     let status = client_status(&socket).expect("status on an idle service");
     assert_eq!(status.workers, 3);
@@ -223,12 +311,7 @@ fn service_round_trips_submit_status_shutdown() {
     assert_eq!(status.completed, 1, "one campaign ran (duplicate attached)");
     assert_eq!(status.jobs_done, 8);
 
-    client_shutdown(&socket).expect("drain + shutdown");
-    service
-        .join()
-        .expect("service thread")
-        .expect("service exits cleanly");
-    assert!(!socket.exists(), "shutdown removes the socket");
+    stop_service(&config, service);
 }
 
 /// Admission control: a zero-capacity queue bounces every submission
@@ -237,24 +320,8 @@ fn service_round_trips_submit_status_shutdown() {
 #[test]
 fn admission_rejects_full_queues_and_invalid_specs() {
     let scratch = Scratch::new("admission");
-    let socket = scratch.path().join("sm.sock");
-    let config = ServeConfig {
-        socket: socket.clone(),
-        workers: 2,
-        max_queued: 0,
-        store: scratch.path().join("store"),
-        store_cap: None,
-    };
-    let service = {
-        let config = config.clone();
-        std::thread::spawn(move || serve(&config, &Budget::with_threads(Some(1))))
-    };
-    for _ in 0..500 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let (config, service) = start_service(&scratch, 2, 0, 1);
+    let socket = config.socket.clone();
 
     let err = client_submit(&socket, &sim_spec(), false, |_, _, _| {}, |_| {})
         .expect_err("a zero-capacity queue admits nothing");
@@ -268,7 +335,5 @@ fn admission_rejects_full_queues_and_invalid_specs() {
         .expect_err("an unexpandable spec is rejected");
     assert!(!err.is_empty());
 
-    client_shutdown(&socket).unwrap();
-    service.join().unwrap().unwrap();
-    assert!(!socket.exists());
+    stop_service(&config, service);
 }
