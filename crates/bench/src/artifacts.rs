@@ -1,14 +1,68 @@
 //! The nine printed artifacts (Tables 1–6, Figs. 4–6), as functions of a
 //! [`Session`].
 //!
-//! `smctl run <artifact>` is a thin wrapper around these: bundles come
+//! Each `run_*` measures and prints one table or figure: bundles come
 //! from the session's engine cache (built in parallel, built once per
-//! benchmark) and printing stays here, so `smctl run table4` and the
-//! same table inside `smctl run all` emit byte-identical output.
+//! benchmark), so `smctl run table4` and the same table inside `smctl
+//! run all` emit byte-identical output. The two measurements more than
+//! one artifact needs are shared: [`swapped_connection_distances_um`]
+//! (Table 1, Fig. 4) and [`security_row`] (Tables 4 and 5, memoized per
+//! session).
 
-use crate::experiments::{fig4, fig5, fig6, table1, table2, table3, table6, Security};
+use sm_attacks::crouting::{crouting_attack, CroutingConfig};
+use sm_attacks::proximity::{ccr_over_connections, network_flow_attack, ProximityConfig};
+use sm_core::baselines::{pin_swapping, placement_perturbation, routing_perturbation};
+use sm_engine::{IscasRun, SuperblueRun};
+use sm_layout::analysis::{distance_stats, wirelength_share_by_layer_for};
+use sm_layout::split_layout;
+
 use crate::quotes;
 use crate::session::Session;
+
+/// Distances (µm) of the *randomized connections* on a given placement:
+/// for every `(sink, true_net)` pair the defense rewired, the Manhattan
+/// distance between the true driver and the sink.
+pub fn swapped_connection_distances_um(
+    netlist: &sm_netlist::Netlist,
+    placement: &sm_layout::Placement,
+    connections: &[(sm_netlist::Sink, sm_netlist::NetId)],
+) -> Vec<f64> {
+    connections
+        .iter()
+        .map(|&(sink, net)| {
+            let d = placement.driver_position(netlist, net);
+            let s = match sink {
+                sm_netlist::Sink::Cell { cell, .. } => placement.cell_center(cell),
+                sm_netlist::Sink::Port(p) => placement.output_position(p.index()),
+            };
+            d.manhattan_um(s)
+        })
+        .collect()
+}
+
+/// The randomized connections' distances on the original, naively
+/// lifted and proposed layouts — the same connection set in all three,
+/// per the paper's "for a fair comparison" note. The proposed layout
+/// measures true connectivity on the erroneous placement: what the
+/// attacker would have to bridge.
+fn layout_distances(run: &SuperblueRun) -> [Vec<f64>; 3] {
+    let swapped = run.protected.randomization.swapped_connections();
+    [
+        &run.original.placement,
+        &run.lifted.placement,
+        &run.protected.placement,
+    ]
+    .map(|placement| swapped_connection_distances_um(&run.netlist, placement, &swapped))
+}
+
+/// Percent increase of `x` over `base` (0 when `base` is 0).
+fn pct_increase(x: u64, base: u64) -> f64 {
+    if base == 0 {
+        0.0
+    } else {
+        (x as f64 - base as f64) / base as f64 * 100.0
+    }
+}
 
 /// Table 1 — distances between connected gates (µm).
 pub fn run_table1(session: &Session) {
@@ -23,17 +77,17 @@ pub fn run_table1(session: &Session) {
     );
     let quotes = quotes::table1();
     for run in session.superblue_runs() {
-        let row = table1(&run);
-        let q = quotes.iter().find(|q| q.name == row.name);
+        let [original, lifted, proposed] = layout_distances(&run).map(distance_stats);
+        let q = quotes.iter().find(|q| q.name == run.name);
         let paper = |t: (f64, f64, f64)| format!("({:.2}/{:.2}/{:.2})", t.0, t.1, t.2);
         for (label, st, pq) in [
-            ("Original", &row.original, q.map(|q| q.original)),
-            ("Lifted", &row.lifted, q.map(|q| q.lifted)),
-            ("Proposed", &row.proposed, q.map(|q| q.proposed)),
+            ("Original", &original, q.map(|q| q.original)),
+            ("Lifted", &lifted, q.map(|q| q.lifted)),
+            ("Proposed", &proposed, q.map(|q| q.proposed)),
         ] {
             println!(
                 "{:<13} {:<10} {:>8.2} {:>8.2} {:>9.2}   {}",
-                row.name,
+                run.name,
                 label,
                 st.mean,
                 st.median,
@@ -41,10 +95,10 @@ pub fn run_table1(session: &Session) {
                 pq.map(paper).unwrap_or_default()
             );
         }
-        let ratio = row.proposed.mean / row.original.mean.max(1e-9);
+        let ratio = proposed.mean / original.mean.max(1e-9);
         println!(
             "{:<13} proposed/original mean ratio: {:.1}×",
-            row.name, ratio
+            run.name, ratio
         );
     }
 }
@@ -57,8 +111,10 @@ pub fn run_table2(session: &Session) {
         opts.scale
     );
     for run in session.superblue_runs() {
-        let row = table2(&run);
-        println!("\n{} ({} nets)", row.name, row.nets);
+        let original = run.original.routing.via_counts();
+        let lifted = run.lifted.routing.via_counts();
+        let proposed = run.protected.restored_routing.via_counts();
+        println!("\n{} ({} nets)", run.name, run.netlist.num_nets());
         print!("{:<12}", "level");
         for k in 1..=9 {
             print!("{:>9}", format!("V{}{}", k, k + 1));
@@ -66,19 +122,16 @@ pub fn run_table2(session: &Session) {
         println!("{:>10}", "total");
         print!("{:<12}", "Original");
         for k in 0..9 {
-            print!("{:>9}", row.original.counts[k]);
+            print!("{:>9}", original.counts[k]);
         }
-        println!("{:>10}", row.original.total());
-        print!("{:<12}", "Lifted (%)");
-        for k in 0..9 {
-            print!("{:>9.2}", row.lifted_pct[k]);
+        println!("{:>10}", original.total());
+        for (label, counts) in [("Lifted (%)", lifted), ("Proposed(%)", proposed)] {
+            print!("{label:<12}");
+            for pct in counts.percent_increase_vs(original) {
+                print!("{pct:>9.2}");
+            }
+            println!("{:>10.2}", pct_increase(counts.total(), original.total()));
         }
-        println!("{:>10.2}", row.total_pct.0);
-        print!("{:<12}", "Proposed(%)");
-        for k in 0..9 {
-            print!("{:>9.2}", row.proposed_pct[k]);
-        }
-        println!("{:>10.2}", row.total_pct.1);
     }
     println!("\npaper shape: proposed adds 10–300% in V45..V910 while naive lifting stays <6%;");
     println!("both keep total via overhead in the single digits.");
@@ -96,14 +149,34 @@ pub fn run_table3(session: &Session) {
         "benchmark", "layout", "#vpins", "E[LS]@15", "E[LS]@30", "E[LS]@45", "match"
     );
     let runs = session.superblue_runs();
-    let rows = session.budget().map(&runs, |_, run| table3(run));
-    for row in rows {
-        for (label, rep) in [
-            ("Original", &row.original),
-            ("Lifted", &row.lifted),
-            ("Proposed", &row.proposed),
-        ] {
-            print!("{:<13} {:<10} {:>8}", row.name, label, rep.num_vpins);
+    let cfg = CroutingConfig::default();
+    let reports = session.budget().map(&runs, |_, run| {
+        let erroneous = &run.protected.randomization.erroneous;
+        let split_orig = split_layout(
+            &run.netlist,
+            &run.original.placement,
+            &run.original.routing,
+            5,
+        );
+        let split_lift = split_layout(&run.netlist, &run.lifted.placement, &run.lifted.routing, 5);
+        let split_prop = split_layout(
+            erroneous,
+            &run.protected.placement,
+            &run.protected.feol_routing,
+            5,
+        );
+        [
+            ("Original", crouting_attack(&run.netlist, &split_orig, &cfg)),
+            ("Lifted", crouting_attack(&run.netlist, &split_lift, &cfg)),
+            // The proposed FEOL carries the erroneous netlist; candidate
+            // lists are structural, so the erroneous layout is the right
+            // reference.
+            ("Proposed", crouting_attack(erroneous, &split_prop, &cfg)),
+        ]
+    });
+    for (run, reports) in runs.iter().zip(reports) {
+        for (label, rep) in reports {
+            print!("{:<13} {:<10} {:>8}", run.name, label, rep.num_vpins);
             for b in &rep.boxes {
                 print!(" {:>10.2}", b.expected_list_size);
             }
@@ -118,8 +191,122 @@ pub fn run_table3(session: &Session) {
     println!("\npaper shape: proposed has more vpins and equal-or-larger candidate lists.");
 }
 
-fn fmt_security(s: &Security) -> String {
-    format!("{:5.1}/{:5.1}/{:5.1}", s.ccr, s.oer, s.hd)
+/// Security triple in percent.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Security {
+    /// Correct connection rate (%).
+    pub ccr: f64,
+    /// Output error rate (%).
+    pub oer: f64,
+    /// Hamming distance (%).
+    pub hd: f64,
+}
+
+impl std::fmt::Display for Security {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:5.1}/{:5.1}/{:5.1}", self.ccr, self.oer, self.hd)
+    }
+}
+
+/// Table 4/5 row: measured attack outcomes on every defense we implement.
+#[derive(Debug, Clone)]
+pub struct SecurityRow {
+    /// Benchmark name.
+    pub name: &'static str,
+    /// Attack on the unprotected layout.
+    pub original: Security,
+    /// Attack on placement perturbation (our re-implementation of \[5\]/\[8\]).
+    pub placement_perturbation: Security,
+    /// Attack on pin swapping (our re-implementation of \[3\]).
+    pub pin_swapping: Security,
+    /// Attack on routing perturbation (our re-implementation of \[12\]).
+    pub routing_perturbation: Security,
+    /// Attack on the proposed defense; CCR restricted to protected nets.
+    pub proposed: Security,
+}
+
+/// Attacks every defense on one ISCAS run, averaging over splits M3/M4/M5
+/// exactly as the paper does. The comparison-defense layouts it builds
+/// (placement perturbation, pin swapping, routing perturbation) place
+/// inside `exec`, so a session's `--threads` budget bounds this row's
+/// work like everything else.
+pub fn security_row(run: &IscasRun, seed: u64, exec: &sm_exec::Budget) -> SecurityRow {
+    let cfg = ProximityConfig::default();
+    let avg3 = |f: &dyn Fn(u8) -> Security| -> Security {
+        let mut acc = Security::default();
+        for split_layer in [3, 4, 5] {
+            let r = f(split_layer);
+            acc.ccr += r.ccr / 3.0;
+            acc.oer += r.oer / 3.0;
+            acc.hd += r.hd / 3.0;
+        }
+        acc
+    };
+    let attack_baseline = |layout: &sm_core::flow::BaselineLayout| {
+        avg3(&|split_layer| {
+            let split = split_layout(
+                &run.netlist,
+                &layout.placement,
+                &layout.routing,
+                split_layer,
+            );
+            let out =
+                network_flow_attack(&run.netlist, &run.netlist, &layout.placement, &split, &cfg);
+            Security {
+                ccr: out.ccr * 100.0,
+                oer: out.metrics.oer * 100.0,
+                hd: out.metrics.hd * 100.0,
+            }
+        })
+    };
+
+    let util = 0.7;
+    let original = attack_baseline(&run.original);
+    let placement_perturbation = attack_baseline(&placement_perturbation(
+        &run.netlist,
+        0.3,
+        3,
+        util,
+        seed,
+        exec,
+    ));
+    let pin_swapping = attack_baseline(&pin_swapping(&run.netlist, 0.5, util, seed, exec));
+    let routing_perturbation =
+        attack_baseline(&routing_perturbation(&run.netlist, 0.3, util, seed, exec));
+
+    let erroneous = &run.protected.randomization.erroneous;
+    let swapped = run.protected.randomization.swapped_connections();
+    let proposed = avg3(&|split_layer| {
+        let split = split_layout(
+            erroneous,
+            &run.protected.placement,
+            &run.protected.feol_routing,
+            split_layer,
+        );
+        let out = network_flow_attack(
+            &run.netlist,
+            erroneous,
+            &run.protected.placement,
+            &split,
+            &cfg,
+        );
+        // The paper reports CCR over the randomized connections.
+        let ccr_protected = ccr_over_connections(&split, &out.pairs, &swapped);
+        Security {
+            ccr: ccr_protected * 100.0,
+            oer: out.metrics.oer * 100.0,
+            hd: out.metrics.hd * 100.0,
+        }
+    });
+
+    SecurityRow {
+        name: run.name,
+        original,
+        placement_perturbation,
+        pin_swapping,
+        routing_perturbation,
+        proposed,
+    }
 }
 
 /// Table 4 — placement-centric comparison.
@@ -131,16 +318,15 @@ pub fn run_table4(session: &Session) {
     );
     let quotes = quotes::table4();
     let rows = session.security_rows();
-    let mut avg = [0.0f64; 9];
-    let mut n = 0.0;
+    let mut avg = [Security::default(); 3];
     for row in rows {
         let q = quotes.iter().find(|q| q.name == row.name).expect("quoted");
         println!(
             "{:<8} | {} | {} | {} || {:.1}/{:.1}/{:.1} — {:.1}/{:.1}/{:.1}",
             row.name,
-            fmt_security(&row.original),
-            fmt_security(&row.placement_perturbation),
-            fmt_security(&row.proposed),
+            row.original,
+            row.placement_perturbation,
+            row.proposed,
             q.original.0,
             q.original.1,
             q.original.2,
@@ -148,30 +334,24 @@ pub fn run_table4(session: &Session) {
             q.proposed.1,
             q.proposed.2,
         );
-        for (i, v) in [
-            row.original.ccr,
-            row.original.oer,
-            row.original.hd,
-            row.placement_perturbation.ccr,
-            row.placement_perturbation.oer,
-            row.placement_perturbation.hd,
-            row.proposed.ccr,
-            row.proposed.oer,
-            row.proposed.hd,
-        ]
-        .into_iter()
-        .enumerate()
+        for (acc, s) in avg
+            .iter_mut()
+            .zip([row.original, row.placement_perturbation, row.proposed])
         {
-            avg[i] += v;
+            acc.ccr += s.ccr;
+            acc.oer += s.oer;
+            acc.hd += s.hd;
         }
-        n += 1.0;
     }
-    for v in &mut avg {
-        *v /= n;
-    }
+    let n = rows.len() as f64;
+    let [original, perturbed, proposed] = avg.map(|s| Security {
+        ccr: s.ccr / n,
+        oer: s.oer / n,
+        hd: s.hd / n,
+    });
     println!(
-        "{:<8} | {:5.1}/{:5.1}/{:5.1} | {:5.1}/{:5.1}/{:5.1} | {:5.1}/{:5.1}/{:5.1} || paper avg 94.3/65.3/7.1 — 0/99.9/40.4",
-        "Average", avg[0], avg[1], avg[2], avg[3], avg[4], avg[5], avg[6], avg[7], avg[8]
+        "{:<8} | {original} | {perturbed} | {proposed} || paper avg 94.3/65.3/7.1 — 0/99.9/40.4",
+        "Average"
     );
 }
 
@@ -188,10 +368,10 @@ pub fn run_table5(session: &Session) {
         println!(
             "{:<8} | {} | {} | {} | {} || {}, {:.1}",
             row.name,
-            fmt_security(&row.original),
-            fmt_security(&row.pin_swapping),
-            fmt_security(&row.routing_perturbation),
-            fmt_security(&row.proposed),
+            row.original,
+            row.pin_swapping,
+            row.routing_perturbation,
+            row.proposed,
             q.pin_swap
                 .map(|p| format!("{:.1}", p.0))
                 .unwrap_or_else(|| "N/A".into()),
@@ -201,7 +381,7 @@ pub fn run_table5(session: &Session) {
     println!("paper averages: pin swapping 88.1 CCR; routing perturbation 72.4 CCR; proposed 0 CCR / 99.9 OER / 40.4 HD");
 }
 
-/// Table 6 — additional upper vias vs routing blockage.
+/// Table 6 — additional upper vias vs routing blockage (lift layer M8).
 pub fn run_table6(session: &Session) {
     let opts = session.opts();
     println!(
@@ -222,23 +402,20 @@ pub fn run_table6(session: &Session) {
     let mut ours = (0.0, 0.0);
     let mut n = 0.0;
     for run in session.superblue_runs() {
-        let row = table6(&run);
+        let original = run.original.routing.via_counts();
+        let proposed = run.protected.restored_routing.via_counts();
+        let dv = |m: u8| pct_increase(proposed.between(m), original.between(m));
+        let (dv67, dv78) = (dv(6), dv(7));
         let q = quotes
             .iter()
-            .find(|q| q.name == row.name)
+            .find(|q| q.name == run.name)
             .expect("all quoted");
         println!(
             "{:<13} {:>12.2} {:>12.2}   {:>12.2} {:>12.2}   {:>12.2} {:>12.2}",
-            row.name,
-            row.dv67_pct,
-            row.dv78_pct,
-            q.proposed.0,
-            q.proposed.1,
-            q.blockage.0,
-            q.blockage.1
+            run.name, dv67, dv78, q.proposed.0, q.proposed.1, q.blockage.0, q.blockage.1
         );
-        ours.0 += row.dv67_pct;
-        ours.1 += row.dv78_pct;
+        ours.0 += dv67;
+        ours.1 += dv78;
         n += 1.0;
     }
     println!(
@@ -274,15 +451,15 @@ pub fn run_fig4(session: &Session) {
         "Fig. 4 — distances between drivers/sinks, superblue18 (scale 1/{})",
         opts.scale
     );
-    let run = session.superblue18();
-    let data = fig4(&run);
-    histogram("(a) original", &data.original);
-    histogram("(b) naively lifted", &data.lifted);
-    histogram("(c) proposed", &data.proposed);
+    let [original, lifted, proposed] = layout_distances(&session.superblue18());
+    histogram("(a) original", &original);
+    histogram("(b) naively lifted", &lifted);
+    histogram("(c) proposed", &proposed);
     println!("\npaper shape: (a) and (b) hug zero; (c) spreads to die scale.");
 }
 
-/// Fig. 5 — wirelength contribution per metal layer.
+/// Fig. 5 — wirelength contribution per metal layer, for the randomized
+/// nets.
 pub fn run_fig5(session: &Session) {
     let opts = session.opts();
     println!(
@@ -290,20 +467,19 @@ pub fn run_fig5(session: &Session) {
         opts.scale
     );
     for run in session.superblue_runs() {
-        let row = fig5(&run);
-        println!("\n{}", row.name);
+        println!("\n{}", run.name);
         print!("{:<12}", "layout");
         for m in 1..=10 {
             print!("{:>7}", format!("M{m}"));
         }
         println!();
-        for (label, shares) in [
-            ("Original", &row.original),
-            ("Lifted", &row.lifted),
-            ("Proposed", &row.proposed),
+        for (label, routing) in [
+            ("Original", &run.original.routing),
+            ("Lifted", &run.lifted.routing),
+            ("Proposed", &run.protected.restored_routing),
         ] {
             print!("{:<12}", label);
-            for s in shares.iter() {
+            for s in wirelength_share_by_layer_for(routing, run.protected_nets.iter().copied()) {
                 print!("{:>6.1}%", s);
             }
             println!();
@@ -322,14 +498,14 @@ pub fn run_fig6(session: &Session) {
     let mut avg = [0.0f64; 3];
     let mut n = 0.0;
     for run in session.iscas_runs() {
-        let row = fig6(&run);
+        let o = run.protected.ppa_overhead;
         println!(
             "{:<8} {:>8.1} {:>8.1} {:>8.1}",
-            row.name, row.area_pct, row.power_pct, row.delay_pct
+            run.name, o.area_pct, o.power_pct, o.delay_pct
         );
-        avg[0] += row.area_pct;
-        avg[1] += row.power_pct;
-        avg[2] += row.delay_pct;
+        avg[0] += o.area_pct;
+        avg[1] += o.power_pct;
+        avg[2] += o.delay_pct;
         n += 1.0;
     }
     let q = quotes::ppa();
@@ -347,81 +523,20 @@ pub fn run_fig6(session: &Session) {
 /// An artifact runner: prints one table/figure from a session.
 pub type ArtifactFn = fn(&Session);
 
-/// Which bundles an artifact pulls through its [`Session`]. Declared
-/// next to each runner registration so the session's reserve/release
-/// accounting ([`Session::reserve_for_artifacts`]) cannot drift from
-/// what the runner actually fetches: an undercounted reservation would
-/// silently rebuild bundles mid-run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BundleUses {
-    /// Calls [`Session::superblue_runs`] (all selected superblue).
-    pub superblue_runs: bool,
-    /// Calls [`Session::superblue18`] only.
-    pub superblue18: bool,
-    /// Calls [`Session::iscas_runs`] directly.
-    pub iscas_runs: bool,
-    /// Consumes [`Session::security_rows`] (one shared `iscas_runs`
-    /// fetch for however many such artifacts are selected).
-    pub security_rows: bool,
-}
-
-const SUPERBLUE: BundleUses = BundleUses {
-    superblue_runs: true,
-    superblue18: false,
-    iscas_runs: false,
-    security_rows: false,
-};
-const SECURITY: BundleUses = BundleUses {
-    superblue_runs: false,
-    superblue18: false,
-    iscas_runs: false,
-    security_rows: true,
-};
-
-/// Every artifact `smctl run` accepts, in canonical order:
-/// `(name, runner, bundle uses)`.
-pub const ARTIFACTS: [(&str, ArtifactFn, BundleUses); 9] = [
-    ("table1", run_table1, SUPERBLUE),
-    ("table2", run_table2, SUPERBLUE),
-    ("table3", run_table3, SUPERBLUE),
-    ("table4", run_table4, SECURITY),
-    ("table5", run_table5, SECURITY),
-    ("table6", run_table6, SUPERBLUE),
-    (
-        "fig4",
-        run_fig4,
-        BundleUses {
-            superblue_runs: false,
-            superblue18: true,
-            iscas_runs: false,
-            security_rows: false,
-        },
-    ),
-    ("fig5", run_fig5, SUPERBLUE),
-    (
-        "fig6",
-        run_fig6,
-        BundleUses {
-            superblue_runs: false,
-            superblue18: false,
-            iscas_runs: true,
-            security_rows: false,
-        },
-    ),
+/// Every artifact `smctl run` accepts, in canonical order.
+pub const ARTIFACTS: [(&str, ArtifactFn); 9] = [
+    ("table1", run_table1),
+    ("table2", run_table2),
+    ("table3", run_table3),
+    ("table4", run_table4),
+    ("table5", run_table5),
+    ("table6", run_table6),
+    ("fig4", run_fig4),
+    ("fig5", run_fig5),
+    ("fig6", run_fig6),
 ];
 
 /// Looks up an artifact runner by name.
 pub fn artifact_by_name(name: &str) -> Option<ArtifactFn> {
-    ARTIFACTS
-        .iter()
-        .find(|(n, _, _)| *n == name)
-        .map(|&(_, f, _)| f)
-}
-
-/// Looks up an artifact's declared bundle uses by name.
-pub fn artifact_uses(name: &str) -> Option<BundleUses> {
-    ARTIFACTS
-        .iter()
-        .find(|(n, _, _)| *n == name)
-        .map(|&(_, _, u)| u)
+    ARTIFACTS.iter().find(|(n, _)| *n == name).map(|&(_, f)| f)
 }

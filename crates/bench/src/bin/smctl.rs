@@ -8,7 +8,6 @@
 //! smctl report --input FILE   re-render a stored report (or a journal)
 //! smctl events <dir|file>     print/stream the campaign journal
 //! smctl tail <dir|file>       live per-job progress (events --follow)
-//! smctl chaos                 fault-injection smoke: crash, resume, byte-diff
 //! smctl store stats|gc|clear|doctor  inspect/maintain the artifact store
 //! smctl serve --socket S      campaign service with a bounded queue
 //! smctl submit --socket S     submit a sweep to a running service
@@ -50,8 +49,7 @@
 //! report and journal, exits with status 4, and `smctl resume` re-runs
 //! it like any other placeholder. `--fault-seed`/`--fault-profile`
 //! inject deterministic faults (panics, transient and persistent I/O
-//! errors) for exactly this path; `smctl chaos` runs the whole
-//! crash→resume→byte-diff cycle as one smoke command.
+//! errors) for exactly this path.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -70,7 +68,6 @@ use sm_engine::report::{Json, ReportOptions};
 use sm_engine::serve::{client_shutdown, client_status, client_submit, serve, ServeConfig};
 use sm_engine::store::ArtifactStore;
 use sm_engine::{iscas_selection, superblue_selection, ArtifactCache};
-use sm_exec::fault::{FaultInject, FaultProfile};
 
 /// The store directory `smctl run`/`sweep`/`resume` use when no
 /// `--store`/`--no-store` is given.
@@ -99,7 +96,6 @@ USAGE:
                 [--format json|csv|agg-csv|table]
     smctl events <journal|store-dir> [--follow] [--format table|json]
     smctl tail <journal|store-dir>
-    smctl chaos [--threads N] [--fault-seed N] [--fault-profile P]
     smctl store stats|gc|clear|doctor [--store DIR] [--store-cap SIZE]
     smctl serve --socket PATH [--workers N] [--max-queued N] [--threads N]
                 [--store DIR] [--store-cap SIZE]
@@ -166,10 +162,7 @@ FAULTS:
                        Defaults the profile to `aggressive`.
     --fault-profile P  injection rates: off|light|aggressive
                        (default seed: 0)
-    `smctl chaos` runs the full cycle as one smoke command: a quick
-    sweep under injected faults, a fault-free resume, and a byte-diff
-    of the resumed report against a fault-free baseline (non-zero exit
-    on any mismatch). `smctl resume` never injects faults.
+    `smctl resume` never injects faults.
 
 STORE:
     run/sweep/resume persist every pipeline stage (netlists, place+route
@@ -258,7 +251,6 @@ fn main() -> ExitCode {
         "report" => cmd_report(rest),
         "events" => cmd_events(rest, false),
         "tail" => cmd_events(rest, true),
-        "chaos" => cmd_chaos(rest),
         "store" => cmd_store(rest),
         "serve" => cmd_serve(rest),
         "submit" => cmd_submit(rest),
@@ -343,7 +335,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         return Err("`smctl run` needs at least one artifact (or `all`)".into());
     }
     if names.contains(&"all") {
-        names = ARTIFACTS.iter().map(|(n, _, _)| *n).collect();
+        names = ARTIFACTS.iter().map(|(n, _)| *n).collect();
     }
     let mut runners = Vec::with_capacity(names.len());
     for name in &names {
@@ -354,17 +346,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     }
     let opts = default_store(RunOptions::from_slice(&flags)?);
     let session = Session::new(opts);
-    // Declare the artifact list so each bundle is released from memory
-    // after its last consuming artifact instead of pinning the whole
-    // selection for the run.
-    session.reserve_for_artifacts(&names);
     for (i, (_, runner)) in runners.iter().enumerate() {
         if i > 0 {
             println!();
         }
         runner(&session);
     }
-    let stats = session.cache_stats();
+    let stats = session.cache().stats();
     eprintln!(
         "bundle cache: {} builds, {} hits, {} disk hits over {} artifact(s)",
         stats.builds,
@@ -383,33 +371,6 @@ fn default_store(mut opts: RunOptions) -> RunOptions {
         opts.store = StoreMode::At(DEFAULT_STORE.into());
     }
     opts
-}
-
-/// The cache an `opts`-configured campaign runs against, with the
-/// fault plan (when one is requested) attached to both the cache (job
-/// faults) and the store underneath (I/O faults).
-fn cache_for(opts: &RunOptions) -> ArtifactCache {
-    let faults = fault_injector(opts);
-    let cache = match opts.store_dir(None) {
-        Some(dir) => {
-            let mut store = ArtifactStore::open(dir, opts.store_cap);
-            if let Some(faults) = &faults {
-                store = store.with_faults(Arc::clone(faults));
-            }
-            ArtifactCache::with_store(Arc::new(store))
-        }
-        None => ArtifactCache::new(),
-    };
-    match faults {
-        Some(faults) => cache.with_faults(faults),
-        None => cache,
-    }
-}
-
-/// The `--fault-seed`/`--fault-profile` plan as a shareable injector.
-fn fault_injector(opts: &RunOptions) -> Option<Arc<dyn FaultInject>> {
-    opts.fault_plan()
-        .map(|plan| Arc::new(plan) as Arc<dyn FaultInject>)
 }
 
 /// `smctl sweep`: expand axes, run on the pool, emit the report.
@@ -511,18 +472,19 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
     ))
 }
 
-/// The cache a campaign of `spec` runs against (see [`cache_for`]).
-/// Store-backed campaigns journal their lifecycle next to the store:
-/// the file is named by the spec's fingerprint, so shards and resumes
-/// of the same campaign append to the same log.
+/// The cache a campaign of `spec` runs against (see
+/// [`RunOptions::cache`]). Store-backed campaigns journal their
+/// lifecycle next to the store, under the cache's fault plan: the file
+/// is named by the spec's fingerprint, so shards and resumes of the
+/// same campaign append to the same log.
 fn journaled_cache(opts: &RunOptions, spec: &SweepSpec) -> ArtifactCache {
-    let cache = cache_for(opts);
+    let cache = opts.cache();
     let Some(store) = cache.store() else {
         return cache;
     };
     let mut journal = Journal::for_spec(store.root(), spec);
-    if let Some(faults) = fault_injector(opts) {
-        journal = journal.with_faults(faults);
+    if let Some(faults) = cache.faults() {
+        journal = journal.with_faults(Arc::clone(faults));
     }
     cache.with_journal(Arc::new(journal))
 }
@@ -597,9 +559,9 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     // into the store's spec-fingerprinted journal (report input over a
     // store) — either way, resume is log concatenation.
     let cache = match &journal_input {
-        Some(journal_path) => {
-            cache_for(&opts).with_journal(Arc::new(Journal::at(journal_path.clone())))
-        }
+        Some(journal_path) => opts
+            .cache()
+            .with_journal(Arc::new(Journal::at(journal_path.clone()))),
         None => journaled_cache(&opts, &stored.spec),
     };
     // A resume gets its own budget — and may itself carry a
@@ -1274,83 +1236,6 @@ impl EventProgress {
             None => format!("{}/?", self.done),
         }
     }
-}
-
-/// `smctl chaos`: one-command fault-injection smoke. Runs a small fixed
-/// sweep under an injected fault plan (default: `aggressive` at seed 0)
-/// against a throwaway store, resumes it fault-free, and byte-diffs the
-/// completed report against a fault-free in-memory baseline — the
-/// robustness invariant (`crash → resume → identical bytes`) as one
-/// command. Exits non-zero on any divergence.
-fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
-    let mut opts = RunOptions::from_slice(args)?;
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--threads" | "--seed" | "--fault-seed" | "--fault-profile" => {
-                let _ = cli::flag_value(flag, inline, args, &mut i)?;
-            }
-            other => return Err(format!("unknown chaos flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
-    if opts.fault_seed.is_none() && opts.fault_profile.is_none() {
-        opts.fault_profile = Some(FaultProfile::aggressive());
-    }
-    let faults = fault_injector(&opts).expect("a fault profile is always set here");
-    // Small but real: two benchmarks × two seeds exercises job panics,
-    // store I/O on every stage, and the journal, in a few seconds.
-    let spec = SweepSpec {
-        benchmarks: vec!["c432".into(), "c880".into()],
-        seeds: vec![1, 2],
-        split_layers: vec![4],
-        attacks: vec![AttackKind::NetworkFlow],
-        scale: 100,
-        master_seed: opts.seed,
-        layout_seed: None,
-    };
-    let budget = opts.budget();
-
-    // Fault-free baseline, purely in memory: the bytes every later
-    // stage must reproduce.
-    let baseline = run_sweep_budgeted(&spec, &budget, &ArtifactCache::new(), None)?;
-    let baseline_json = render_campaign(&baseline, "json", false);
-
-    // The chaotic run: store + journal + job execution all under the
-    // fault plan, against a throwaway store directory.
-    let dir = std::env::temp_dir().join(format!("smctl-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir_str = dir.to_string_lossy().into_owned();
-    let store =
-        Arc::new(ArtifactStore::open(dir_str.clone(), None).with_faults(Arc::clone(&faults)));
-    let journal = Arc::new(Journal::for_spec(store.root(), &spec).with_faults(Arc::clone(&faults)));
-    let cache = ArtifactCache::with_store(store)
-        .with_journal(Arc::clone(&journal))
-        .with_faults(faults);
-    let chaotic = run_sweep_budgeted(&spec, &budget, &cache, None)?;
-    eprintln!("chaos: {}", chaotic.summary());
-
-    // Fault-free resume over the same (possibly mangled) store: the
-    // surviving results merge with re-runs of every placeholder.
-    eprintln!(
-        "chaos: resuming {} job(s) fault-free",
-        chaotic.timed_out() + chaotic.failed()
-    );
-    let resume_cache = ArtifactCache::with_store(Arc::new(ArtifactStore::open(dir_str, None)));
-    let resumed = resume_campaign(chaotic, &budget, &resume_cache)?;
-    let resumed_json = render_campaign(&resumed, "json", false);
-    let _ = std::fs::remove_dir_all(&dir);
-    if resumed_json != baseline_json {
-        return Err(
-            "chaos: resumed report differs from the fault-free baseline (determinism bug)".into(),
-        );
-    }
-    println!(
-        "chaos: ok — {} job(s) converged to the fault-free report byte-for-byte",
-        resumed.outcomes.len()
-    );
-    Ok(ExitCode::SUCCESS)
 }
 
 /// Parses `--shard K/N` (1-based shard index).

@@ -3,22 +3,21 @@
 //!
 //! The heavy machinery — job scheduling, the bundle cache, parallel
 //! execution, report emission — lives in [`sm_engine`]; this crate holds
-//! what is specific to the paper: the measurement drivers
-//! ([`experiments`]), the published numbers ([`quotes`]), the printed
-//! artifacts ([`artifacts`]) and the CLI wiring ([`session`],
-//! `src/bin/smctl.rs`).
+//! what is specific to the paper: the printed artifacts with their
+//! measurements ([`artifacts`]), the published numbers ([`quotes`]) and
+//! the CLI wiring ([`session`], [`cli`], `src/bin/smctl.rs`).
 //!
-//! | artifact | `smctl run` name | module |
+//! | artifact | `smctl run` name | runner |
 //! |----------|--------|--------|
-//! | Table 1  | `table1` | `experiments::table1` |
-//! | Table 2  | `table2` | `experiments::table2` |
-//! | Table 3  | `table3` | `experiments::table3` |
-//! | Table 4  | `table4` | `experiments::security_row` |
-//! | Table 5  | `table5` | `experiments::security_row` |
-//! | Table 6  | `table6` | `experiments::table6` |
-//! | Fig. 4   | `fig4` | `experiments::fig4` |
-//! | Fig. 5   | `fig5` | `experiments::fig5` |
-//! | Fig. 6   | `fig6` | `experiments::fig6` |
+//! | Table 1  | `table1` | `artifacts::run_table1` |
+//! | Table 2  | `table2` | `artifacts::run_table2` |
+//! | Table 3  | `table3` | `artifacts::run_table3` |
+//! | Table 4  | `table4` | `artifacts::run_table4` (rows from `artifacts::security_row`) |
+//! | Table 5  | `table5` | `artifacts::run_table5` (rows from `artifacts::security_row`) |
+//! | Table 6  | `table6` | `artifacts::run_table6` |
+//! | Fig. 4   | `fig4` | `artifacts::run_fig4` |
+//! | Fig. 5   | `fig5` | `artifacts::run_fig5` |
+//! | Fig. 6   | `fig6` | `artifacts::run_fig6` |
 //!
 //! `smctl run <artifact>` accepts `--seed N`, `--scale N` (superblue
 //! down-scaling), `--threads N` and `--quick` (smaller benchmark
@@ -29,9 +28,14 @@
 
 pub mod artifacts;
 pub mod cli;
-pub mod experiments;
 pub mod quotes;
 pub mod session;
+
+use std::sync::Arc;
+
+use sm_engine::store::ArtifactStore;
+use sm_engine::ArtifactCache;
+use sm_exec::fault::FaultInject;
 
 /// Where the disk-backed artifact store lives, if anywhere.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -199,6 +203,31 @@ impl RunOptions {
             self.fault_seed.unwrap_or(0),
             profile,
         ))
+    }
+
+    /// The bundle cache these options describe: layered over the
+    /// `--store` directory when one is set (resolve [`StoreMode::Auto`]
+    /// first; here it means no store), memory-only otherwise. A
+    /// `--fault-seed`/`--fault-profile` plan attaches to both the cache
+    /// (job faults) and the store underneath (I/O faults).
+    pub fn cache(&self) -> ArtifactCache {
+        let faults = self
+            .fault_plan()
+            .map(|plan| Arc::new(plan) as Arc<dyn FaultInject>);
+        let cache = match self.store_dir(None) {
+            Some(dir) => {
+                let mut store = ArtifactStore::open(dir, self.store_cap);
+                if let Some(faults) = &faults {
+                    store = store.with_faults(Arc::clone(faults));
+                }
+                ArtifactCache::with_store(Arc::new(store))
+            }
+            None => ArtifactCache::new(),
+        };
+        match faults {
+            Some(faults) => cache.with_faults(faults),
+            None => cache,
+        }
     }
 
     /// The resource budget these options describe: `--threads` becomes

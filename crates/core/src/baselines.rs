@@ -14,9 +14,9 @@
 //! All functions are deterministic per seed and return a
 //! [`BaselineLayout`] directly comparable with the protected design.
 //!
-//! The `_traced` and `_with` variants run inside an explicit
-//! [`sm_exec::Budget`] (the `_traced` ones also record placement phase
-//! spans into a [`sm_exec::phase::Recorder`]). If
+//! The `_traced` variants and the three comparison defenses run inside
+//! an explicit [`sm_exec::Budget`] (the `_traced` ones also record
+//! placement phase spans into a [`sm_exec::phase::Recorder`]). If
 //! the budget's token fires mid-build they abort at the next
 //! result-neutral checkpoint by unwinding with [`sm_exec::Cancelled`]
 //! (see [`sm_exec::abort_cancelled`]) — the campaign engine's job
@@ -113,26 +113,8 @@ pub fn naive_lifting_traced(
 
 /// Placement perturbation \[5\]/\[8\]: displace `fraction` of the cells by a
 /// random offset of up to `radius_rows` rows in each direction, then
-/// re-legalize and route.
+/// re-legalize and route, all inside the `exec` thread budget.
 pub fn placement_perturbation(
-    netlist: &Netlist,
-    fraction: f64,
-    radius_rows: i64,
-    utilization: f64,
-    seed: u64,
-) -> BaselineLayout {
-    placement_perturbation_with(
-        netlist,
-        fraction,
-        radius_rows,
-        utilization,
-        seed,
-        &sm_exec::Budget::default(),
-    )
-}
-
-/// [`placement_perturbation`], confined to the `exec` thread budget.
-pub fn placement_perturbation_with(
     netlist: &Netlist,
     fraction: f64,
     radius_rows: i64,
@@ -182,24 +164,8 @@ pub fn placement_perturbation_with(
 /// Pin swapping \[3\]: permute the pad locations of primary outputs (the
 /// system-level interconnect), leaving gate placement untouched. Only the
 /// port-level hints are perturbed, which is why the original attack still
-/// recovers ~87% of connections.
+/// recovers ~87% of connections. Places and routes inside `exec`.
 pub fn pin_swapping(
-    netlist: &Netlist,
-    swap_fraction: f64,
-    utilization: f64,
-    seed: u64,
-) -> BaselineLayout {
-    pin_swapping_with(
-        netlist,
-        swap_fraction,
-        utilization,
-        seed,
-        &sm_exec::Budget::default(),
-    )
-}
-
-/// [`pin_swapping`], confined to the `exec` thread budget.
-pub fn pin_swapping_with(
     netlist: &Netlist,
     swap_fraction: f64,
     utilization: f64,
@@ -241,24 +207,9 @@ pub fn pin_swapping_with(
 }
 
 /// Routing perturbation \[12\]: elevate a random `fraction` of multi-pin
-/// nets by two layers (detours without netlist changes).
+/// nets by two layers (detours without netlist changes). Places and
+/// routes inside `exec`.
 pub fn routing_perturbation(
-    netlist: &Netlist,
-    fraction: f64,
-    utilization: f64,
-    seed: u64,
-) -> BaselineLayout {
-    routing_perturbation_with(
-        netlist,
-        fraction,
-        utilization,
-        seed,
-        &sm_exec::Budget::default(),
-    )
-}
-
-/// [`routing_perturbation`], confined to the `exec` thread budget.
-pub fn routing_perturbation_with(
     netlist: &Netlist,
     fraction: f64,
     utilization: f64,
@@ -313,6 +264,7 @@ fn layout_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_exec::Budget;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
 
@@ -372,7 +324,7 @@ mod tests {
     fn perturbation_changes_placement_but_stays_legal() {
         let n = c17();
         let plain = original_layout(&n, 0.6, 2);
-        let pert = placement_perturbation(&n, 0.5, 3, 0.6, 2);
+        let pert = placement_perturbation(&n, 0.5, 3, 0.6, 2, &Budget::default());
         assert!(pert.placement.is_legal(&pert.floorplan));
         let moved = n
             .cells()
@@ -385,7 +337,7 @@ mod tests {
     fn pin_swapping_permutes_output_pads() {
         let n = c17();
         let plain = original_layout(&n, 0.6, 3);
-        let swapped = pin_swapping(&n, 1.0, 0.6, 3);
+        let swapped = pin_swapping(&n, 1.0, 0.6, 3, &Budget::default());
         let changed = (0..n.output_ports().len())
             .filter(|&i| plain.placement.output_position(i) != swapped.placement.output_position(i))
             .count();
@@ -396,7 +348,7 @@ mod tests {
     fn routing_perturbation_elevates_some_nets() {
         let n = c17();
         let plain = original_layout(&n, 0.6, 4);
-        let pert = routing_perturbation(&n, 1.0, 0.6, 4);
+        let pert = routing_perturbation(&n, 1.0, 0.6, 4, &Budget::default());
         let plain_hi: u64 = (4..=9).map(|m| plain.routing.via_counts().between(m)).sum();
         let pert_hi: u64 = (4..=9).map(|m| pert.routing.via_counts().between(m)).sum();
         assert!(pert_hi >= plain_hi);
@@ -405,8 +357,8 @@ mod tests {
     #[test]
     fn baselines_are_deterministic() {
         let n = c17();
-        let a = placement_perturbation(&n, 0.5, 2, 0.6, 9);
-        let b = placement_perturbation(&n, 0.5, 2, 0.6, 9);
+        let a = placement_perturbation(&n, 0.5, 2, 0.6, 9, &Budget::default());
+        let b = placement_perturbation(&n, 0.5, 2, 0.6, 9, &Budget::default());
         for (id, _) in n.cells() {
             assert_eq!(a.placement.cell_origin(id), b.placement.cell_origin(id));
         }

@@ -107,11 +107,6 @@ impl StageStats {
     pub fn builds_of(&self, stage: Stage) -> u64 {
         self.builds[stage.index()]
     }
-
-    /// Store decodes of one stage.
-    pub fn decodes_of(&self, stage: Stage) -> u64 {
-        self.decodes[stage.index()]
-    }
 }
 
 /// Hit/build counters, reported by campaigns ("cache hit count").

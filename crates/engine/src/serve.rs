@@ -255,12 +255,17 @@ fn recv_msg<T: Decode>(stream: &mut UnixStream) -> Result<Option<T>, String> {
     if len > frame::MAX_FRAME_PAYLOAD {
         return Err(format!("frame of {len} bytes exceeds limit"));
     }
-    let mut whole = Vec::with_capacity(frame::FRAME_HEADER_LEN + len);
-    whole.extend_from_slice(&header);
-    whole.resize(frame::FRAME_HEADER_LEN + len, 0);
+    // Grow the buffer with the bytes that actually arrive, not with the
+    // length the header claims: a peer that promises 16 MiB and sends
+    // ten bytes costs ten bytes.
+    let mut whole = header.to_vec();
     stream
-        .read_exact(&mut whole[frame::FRAME_HEADER_LEN..])
+        .take(len as u64)
+        .read_to_end(&mut whole)
         .map_err(|e| format!("socket read: {e}"))?;
+    if whole.len() < frame::FRAME_HEADER_LEN + len {
+        return Err("socket closed mid-frame".into());
+    }
     let (payload, _) = frame::read_frame(&whole, 0).ok_or("corrupt frame (checksum mismatch)")?;
     decode_from_slice(payload)
         .map(Some)
@@ -691,5 +696,20 @@ mod tests {
         });
         let bytes = encode_to_vec(&resp);
         assert_eq!(decode_from_slice::<Response>(&bytes).unwrap(), resp);
+    }
+
+    /// A header that claims the maximum payload but delivers ten bytes
+    /// before the peer hangs up is a mid-frame error; the reader's
+    /// buffer only ever held the bytes that arrived.
+    #[test]
+    fn truncated_frame_with_huge_claimed_length_is_an_error() {
+        let (mut client, mut server) = UnixStream::pair().unwrap();
+        let mut header = [0u8; frame::FRAME_HEADER_LEN];
+        header[..4].copy_from_slice(&(frame::MAX_FRAME_PAYLOAD as u32).to_le_bytes());
+        client.write_all(&header).unwrap();
+        client.write_all(&[0xAB; 10]).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let err = recv_msg::<Request>(&mut server).unwrap_err();
+        assert!(err.contains("closed mid-frame"), "{err}");
     }
 }

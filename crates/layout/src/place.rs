@@ -41,11 +41,6 @@ impl Placement {
         )
     }
 
-    /// Cell width in DBU (derived from library area and row height).
-    pub fn cell_width(&self, cell: CellId) -> i64 {
-        self.widths[cell.index()]
-    }
-
     /// Moves a cell's origin (used by perturbation defenses; re-legalize
     /// afterwards with [`PlacementEngine::legalize`]).
     pub fn set_cell_origin(&mut self, cell: CellId, origin: Point) {

@@ -98,11 +98,6 @@ impl Cnf {
         self.num_vars
     }
 
-    /// Number of clauses added so far.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Adds a clause (a disjunction of literals).
     ///
     /// # Panics
