@@ -12,9 +12,21 @@
 //! 4. the direction of dangling wires (the FEOL stub points toward the
 //!    BEOL continuation).
 //!
-//! Pairs are committed globally-cheapest-first (the practical equivalent of
-//! the min-cost-flow rounds in the original attack), re-checking loops
-//! against connections committed so far.
+//! The attack runs as two stages:
+//!
+//! * the **core** ([`flow_attack_core`]) scores the K cheapest candidate
+//!   drivers per sink (hints 1, 3 and 4), solves the min-cost-flow
+//!   assignment over them, and reconstructs the netlist by applying the
+//!   assignment cheapest-first, retargeting any connection that would
+//!   close a combinational loop (hint 2) to its cheapest loop-free
+//!   candidate. It reads no random stream, so one FEOL and config yield
+//!   one core — campaigns build it once per layout, arm and split layer
+//!   and share it across attack seeds;
+//! * the **eval** ([`flow_attack_eval`]) simulates the recovered netlist
+//!   against the true design under the config's `eval_seed` stream to
+//!   score OER/HD.
+//!
+//! [`network_flow_attack_budgeted`] is their composition.
 
 use crate::grid::CellGrid;
 use sm_exec::{Budget, Pool};
@@ -76,6 +88,18 @@ pub struct AttackOutcome {
     pub recovered: Netlist,
     /// OER and HD of the recovered netlist against the true design.
     pub metrics: SecurityMetrics,
+}
+
+/// The seed-independent result of [`flow_attack_core`]: the assignment
+/// and the netlist it reconstructs. Everything in it is a function of
+/// the attacked FEOL, the placed netlist and the config's scoring
+/// fields; `eval_seed` and `eval_patterns` never reach it.
+#[derive(Debug, Clone)]
+pub struct AttackCore {
+    /// Committed `(driver_vpin, sink_vpin)` pairs.
+    pub pairs: Vec<(usize, usize)>,
+    /// The netlist the attacker reconstructed.
+    pub recovered: Netlist,
 }
 
 /// The min-cost-flow instance the attack builds for a split layout:
@@ -280,21 +304,17 @@ pub fn network_flow_attack(
 }
 
 /// [`network_flow_attack`] running inside an explicit [`Budget`]:
-/// candidate scoring fans out over the budget's pool (never exceeding its
-/// thread allotment), and per-phase wall-clock spans are recorded into
-/// `rec` — `attack-candidates` (instance build + candidate scoring),
-/// `attack-mcmf` (the min-cost-flow solve), `attack-assign` (assignment
-/// read-off + netlist reconstruction) and `attack-eval` (OER/HD
-/// simulation). Campaigns pass each job's split budget here, so
-/// attack-internal parallelism shares the process-wide worker ceiling.
+/// [`flow_attack_core`] followed by [`flow_attack_eval`]. Candidate
+/// scoring fans out over the budget's pool (never exceeding its thread
+/// allotment), and per-phase wall-clock spans are recorded into `rec` —
+/// the core's `attack-candidates`, `attack-mcmf` and `attack-assign`,
+/// then `attack-eval` (CCR plus the OER/HD simulation).
 ///
-/// The budget's [`CancelToken`](sm_exec::CancelToken) is consulted at the attack's
-/// deterministic phase boundaries — before the candidate scoring pass,
-/// between the min-cost-flow engine's scaling phases (see
-/// [`MinCostFlow::run_interruptible`](crate::mcmf::MinCostFlow::run_interruptible)),
-/// and before the OER/HD evaluation. A deadlined superblue-scale job
-/// therefore stops within one phase of its deadline instead of
-/// overshooting by the whole attack. Returns `None` once cancelled.
+/// The budget's [`CancelToken`](sm_exec::CancelToken) is consulted at
+/// the core's phase boundaries and once more before the evaluation, so a
+/// deadlined superblue-scale job stops within one phase of its deadline
+/// instead of overshooting by the whole attack. Returns `None` once
+/// cancelled.
 ///
 /// Neither the thread count, an armed token nor the recording changes
 /// the result: an attack that completes is bit-identical either way.
@@ -308,6 +328,47 @@ pub fn network_flow_attack_budgeted(
     exec: &Budget,
     rec: &mut sm_exec::phase::Recorder,
 ) -> Option<AttackOutcome> {
+    let AttackCore { pairs, recovered } = flow_attack_core(placed, split, config, exec, rec)?;
+    let _ = placement; // positions are already baked into the vpins
+
+    // Last phase boundary before the OER/HD simulation (on superblue it
+    // is a multi-second stage of its own).
+    if exec.is_cancelled() {
+        return None;
+    }
+    let (ccr, metrics) = rec.time("attack-eval", || {
+        let ccr = ccr_vs_golden(golden, split, &pairs);
+        (ccr, flow_attack_eval(golden, &recovered, config))
+    });
+    Some(AttackOutcome {
+        pairs,
+        ccr,
+        recovered,
+        metrics,
+    })
+}
+
+/// The seed-independent core of the flow attack on the FEOL `split` of
+/// `placed`: candidate scoring, the min-cost-flow solve and the
+/// loop-avoiding reconstruction, recorded into `rec` as
+/// `attack-candidates`, `attack-mcmf` and `attack-assign`.
+///
+/// The budget's token is consulted before candidate scoring and
+/// between the min-cost-flow engine's scaling phases (see
+/// [`MinCostFlow::run_interruptible`](crate::mcmf::MinCostFlow::run_interruptible));
+/// `None` means it fired. A completed core is bit-identical across
+/// thread counts and tokens.
+///
+/// # Panics
+///
+/// Panics if `split` was not derived from `placed`.
+pub fn flow_attack_core(
+    placed: &Netlist,
+    split: &SplitLayout,
+    config: &ProximityConfig,
+    exec: &Budget,
+    rec: &mut sm_exec::phase::Recorder,
+) -> Option<AttackCore> {
     let cancel = exec.cancel_token();
     if cancel.is_cancelled() {
         return None;
@@ -336,7 +397,7 @@ pub fn network_flow_attack_budgeted(
         )
     })?;
 
-    let (pairs, recovered) = rec.time("attack-assign", || {
+    Some(rec.time("attack-assign", || {
         // Read the assignment off the flow; sinks the flow could not reach
         // fall back to their cheapest candidate.
         let mut chosen: Vec<Option<usize>> = vec![None; sinks.len()];
@@ -400,29 +461,25 @@ pub fn network_flow_attack_budgeted(
                 pairs.push((d, s));
             }
         }
-        (pairs, recovered)
-    });
+        AttackCore { pairs, recovered }
+    }))
+}
 
-    let _ = placement; // positions are already baked into the vpins
-
-    // Last phase boundary before the OER/HD simulation (on superblue it
-    // is a multi-second stage of its own).
-    if cancel.is_cancelled() {
-        return None;
-    }
-    let (ccr, metrics) = rec.time("attack-eval", || {
-        let ccr = ccr_vs_golden(golden, split, &pairs);
-        let mut rng = seeded(golden, config.eval_seed);
-        let patterns = PatternSource::random(golden, config.eval_patterns, &mut rng);
-        let metrics = security_metrics(golden, &recovered, &patterns).expect("same port interface");
-        (ccr, metrics)
-    });
-    Some(AttackOutcome {
-        pairs,
-        ccr,
-        recovered,
-        metrics,
-    })
+/// OER and HD of a recovered netlist against the true design `golden`,
+/// over `config.eval_patterns` random patterns drawn from the
+/// `config.eval_seed` stream — the per-seed half of the attack.
+///
+/// # Panics
+///
+/// Panics if `recovered` does not share `golden`'s port interface.
+pub fn flow_attack_eval(
+    golden: &Netlist,
+    recovered: &Netlist,
+    config: &ProximityConfig,
+) -> SecurityMetrics {
+    let mut rng = seeded(golden, config.eval_seed);
+    let patterns = PatternSource::random(golden, config.eval_patterns, &mut rng);
+    security_metrics(golden, recovered, &patterns).expect("same port interface")
 }
 
 /// CCR of an assignment against the *true* design.
@@ -772,6 +829,70 @@ mod tests {
                 assert_eq!(out.metrics.hd, plain.metrics.hd);
             }
         }
+    }
+
+    /// Core plus eval, run separately, reproduce the composed attack.
+    fn assert_core_then_eval_matches(golden: &Netlist, layer: u8) {
+        let base = original_layout(golden, 0.6, 1);
+        let split = split_layout(golden, &base.placement, &base.routing, layer);
+        assert!(
+            split.cut_nets > 0,
+            "{} layer {layer} has no cut nets",
+            golden.name()
+        );
+        let cfg = ProximityConfig {
+            eval_seed: Some(11),
+            ..ProximityConfig::default()
+        };
+        let exec = Budget::with_threads(Some(2));
+        let composed = network_flow_attack_budgeted(
+            golden,
+            golden,
+            &base.placement,
+            &split,
+            &cfg,
+            &exec,
+            &mut Recorder::new(),
+        )
+        .expect("no token fired");
+        let core = flow_attack_core(golden, &split, &cfg, &exec, &mut Recorder::new())
+            .expect("no token fired");
+        let metrics = flow_attack_eval(golden, &core.recovered, &cfg);
+        assert_eq!(core.pairs, composed.pairs);
+        assert_eq!(ccr_vs_golden(golden, &split, &core.pairs), composed.ccr);
+        assert_eq!(metrics.oer, composed.metrics.oer);
+        assert_eq!(metrics.hd, composed.metrics.hd);
+        assert_eq!(
+            format!("{:?}", core.recovered),
+            format!("{:?}", composed.recovered)
+        );
+    }
+
+    #[test]
+    fn core_then_eval_equals_the_composed_attack() {
+        assert_core_then_eval_matches(&c17(), 2);
+        let c432 = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c432(), 1);
+        assert_core_then_eval_matches(&c432, 4);
+    }
+
+    #[test]
+    fn core_ignores_the_eval_seed() {
+        let n = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c432(), 1);
+        let base = original_layout(&n, 0.6, 1);
+        let split = split_layout(&n, &base.placement, &base.routing, 4);
+        let exec = Budget::with_threads(Some(1));
+        let core = |eval_seed| {
+            let cfg = ProximityConfig {
+                eval_seed,
+                ..ProximityConfig::default()
+            };
+            flow_attack_core(&n, &split, &cfg, &exec, &mut Recorder::new()).expect("live token")
+        };
+        let (a, b) = (core(Some(1)), core(Some(2)));
+        assert!(!a.pairs.is_empty());
+        assert_eq!(a.pairs, b.pairs);
+        assert_eq!(format!("{:?}", a.recovered), format!("{:?}", b.recovered));
+        assert_eq!(core(None).pairs, a.pairs);
     }
 
     #[test]

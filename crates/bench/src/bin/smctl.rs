@@ -466,6 +466,11 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
     };
     eprintln!("{}", campaign.summary());
     print_store_stats(&cache);
+    let cores = cache.core_stats();
+    eprintln!(
+        "attack cores: {} built, {} reused",
+        cores.built, cores.reused
+    );
     Ok(campaign_exit(
         &campaign,
         resume_path.as_deref().unwrap_or("<report.json>"),
@@ -865,10 +870,18 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                 cli::no_value(flag, inline)?;
                 stop = true;
             }
-            "--threads" | "--timeout-secs" | "--store" | "--store-cap" => {
+            "--threads" | "--store" | "--store-cap" => {
                 let _ = cli::flag_value(flag, inline, args, &mut i)?;
             }
             "--no-store" => cli::no_value(flag, inline)?,
+            // One deadline armed at service start would time out every
+            // campaign submitted after it.
+            "--timeout-secs" => {
+                return Err(
+                    "`smctl serve` takes no --timeout-secs (a service-wide deadline would expire every later campaign)"
+                        .into(),
+                )
+            }
             other => return Err(format!("unknown serve flag `{other}`; see `smctl help`")),
         }
         i += 1;

@@ -274,6 +274,17 @@ fn journal_cli_rejects_bad_inputs() {
         stderr(&out)
     );
 
+    // `serve` takes no deadline: one armed at service start would time
+    // out every campaign submitted after it.
+    let out = smctl(&["serve", "--socket", "s.sock", "--timeout-secs", "5"], dir);
+    assert_eq!(exit_code(&out), 2);
+    assert!(
+        stderr(&out).contains("takes no --timeout-secs"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!dir.join("s.sock").exists(), "the service never started");
+
     // report: --input and --journal are exclusive.
     let out = smctl(&["report", "--input", "a.json", "--journal", "."], dir);
     assert_eq!(exit_code(&out), 2);

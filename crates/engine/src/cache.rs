@@ -21,11 +21,16 @@
 //! registered with [`ArtifactCache::reserve`]; [`ArtifactCache::release`]
 //! drops the cache's reference when the count reaches zero, so peak
 //! memory tracks the working set instead of the whole sweep.
+//!
+//! Derived per-bundle artifacts ride along: split views (persisted as
+//! their own store stage) and flow-attack cores (memory only, see
+//! [`ArtifactCache::attack_core`]) drop with their bundle.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use sm_attacks::proximity::AttackCore;
 use sm_benchgen::iscas::IscasProfile;
 use sm_benchgen::superblue::SuperblueProfile;
 use sm_codec::{Decode, Encode};
@@ -138,8 +143,22 @@ enum Origin {
     Disk,
 }
 
+/// Flow-attack core counters (see [`ArtifactCache::attack_core`]) —
+/// side-band diagnostics, kept out of [`CacheStats`] and so out of
+/// reports and the journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CoreStats {
+    /// Cores built.
+    pub built: u64,
+    /// Requests served by an already-built core.
+    pub reused: u64,
+}
+
 type Slot<T> = Arc<OnceLock<Arc<T>>>;
 type BundleMap<K, T> = Mutex<HashMap<K, Slot<T>>>;
+/// A core slot: unlike [`Slot`], an empty slot can be filled again, so
+/// a cancelled (or panicked) build is retried by the next request.
+type CoreSlot = Arc<Mutex<Option<Arc<AttackCore>>>>;
 
 /// The engine's bundle cache. Cheap to share: wrap in an [`Arc`].
 #[derive(Debug, Default)]
@@ -147,6 +166,7 @@ pub struct ArtifactCache {
     iscas: BundleMap<(&'static str, u64), IscasRun>,
     superblue: BundleMap<(&'static str, usize, u64), SuperblueRun>,
     splits: BundleMap<(BundleKey, SplitArm, u8), SplitLayout>,
+    cores: Mutex<HashMap<(BundleKey, SplitArm, u8), CoreSlot>>,
     store: Option<Arc<ArtifactStore>>,
     journal: Option<Arc<Journal>>,
     faults: Option<Arc<dyn FaultInject>>,
@@ -157,6 +177,8 @@ pub struct ArtifactCache {
     released: AtomicU64,
     stage_builds: [AtomicU64; Stage::ALL.len()],
     stage_decodes: [AtomicU64; Stage::ALL.len()],
+    core_builds: AtomicU64,
+    core_reuses: AtomicU64,
 }
 
 impl ArtifactCache {
@@ -352,6 +374,64 @@ impl ArtifactCache {
         Arc::clone(value)
     }
 
+    /// The flow-attack core of one arm of a bundle at `layer`, built by
+    /// `build` on first request and shared in memory per (bundle, arm,
+    /// layer) — so the jobs of a pinned-layout seed sweep run candidate
+    /// scoring, min-cost flow and reconstruction once per arm instead
+    /// of once per seed. Campaigns attack with one fixed scoring config,
+    /// so the key needs no config component.
+    ///
+    /// Late arrivals block on the builder. A build that returns `None`
+    /// (its budget was cancelled) is not kept, and neither is one that
+    /// panicked: the next request builds again. Cores are not persisted;
+    /// their entries drop with their bundle on [`ArtifactCache::release`].
+    pub fn attack_core(
+        &self,
+        key: &BundleKey,
+        arm: SplitArm,
+        layer: u8,
+        build: impl FnOnce() -> Option<AttackCore>,
+    ) -> Option<Arc<AttackCore>> {
+        let slot = {
+            let mut cores = self.cores.lock().expect("core cache poisoned");
+            Arc::clone(cores.entry((*key, arm, layer)).or_default())
+        };
+        let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(core) = held.as_ref() {
+            self.core_reuses.fetch_add(1, Ordering::Relaxed);
+            return Some(Arc::clone(core));
+        }
+        let core = Arc::new(build()?);
+        *held = Some(Arc::clone(&core));
+        self.core_builds.fetch_add(1, Ordering::Relaxed);
+        Some(core)
+    }
+
+    /// The arm whose core a flow job of (`key`, `layer`) should fetch
+    /// first: the protected one, unless another job has already claimed
+    /// it while the original is still unclaimed. The answer is claimed
+    /// in the same step, so two jobs that start together build the two
+    /// arms concurrently instead of queueing on one.
+    pub fn first_core_arm(&self, key: &BundleKey, layer: u8) -> SplitArm {
+        let mut cores = self.cores.lock().expect("core cache poisoned");
+        let claimed = |arm| cores.contains_key(&(*key, arm, layer));
+        let arm = if claimed(SplitArm::Protected) && !claimed(SplitArm::Original) {
+            SplitArm::Original
+        } else {
+            SplitArm::Protected
+        };
+        cores.entry((*key, arm, layer)).or_default();
+        arm
+    }
+
+    /// Flow-attack core counters accumulated so far.
+    pub fn core_stats(&self) -> CoreStats {
+        CoreStats {
+            built: self.core_builds.load(Ordering::Relaxed),
+            reused: self.core_reuses.load(Ordering::Relaxed),
+        }
+    }
+
     /// Registers `uses` upcoming consumers of `key` (called once per key
     /// at campaign expansion, before any job runs). Counts accumulate,
     /// so resumed/filtered runs over the same cache compose.
@@ -390,11 +470,15 @@ impl ArtifactCache {
         if !drop_now {
             return;
         }
-        // Split views belong to their bundle: drop them together so the
-        // working set shrinks with the sweep frontier.
+        // Split views and attack cores belong to their bundle: drop them
+        // together so the working set shrinks with the sweep frontier.
         self.splits
             .lock()
             .expect("split cache poisoned")
+            .retain(|(k, _, _), _| k != key);
+        self.cores
+            .lock()
+            .expect("core cache poisoned")
             .retain(|(k, _, _), _| k != key);
         let removed = match key {
             BundleKey::Iscas { name, seed } => self
@@ -562,6 +646,126 @@ mod tests {
         // A fresh request rebuilds.
         let _again = cache.iscas(&profile, 4, &Budget::default(), &mut Recorder::new());
         assert_eq!(cache.stats().builds, 2);
+    }
+
+    fn c17_core() -> AttackCore {
+        use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
+        let recovered =
+            parse_bench("c17", C17_BENCH, &sm_netlist::Library::nangate45()).expect("c17 parses");
+        AttackCore {
+            pairs: vec![(0, 1)],
+            recovered,
+        }
+    }
+
+    const KEY: BundleKey = BundleKey::Iscas {
+        name: "c17",
+        seed: 1,
+    };
+
+    #[test]
+    fn attack_core_builds_once_under_contention() {
+        let cache = ArtifactCache::new();
+        let builds = AtomicUsize::new(0);
+        let ptrs: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let core = cache.attack_core(&KEY, SplitArm::Protected, 4, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Some(c17_core())
+                        });
+                        Arc::as_ptr(&core.expect("live build")) as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(ptrs.windows(2).all(|w| w[0] == w[1]), "all shared one Arc");
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            cache.core_stats(),
+            CoreStats {
+                built: 1,
+                reused: 3
+            }
+        );
+        // Cores are side-band: the bundle counters never move.
+        assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn attack_cores_are_keyed_by_arm_and_layer() {
+        let cache = ArtifactCache::new();
+        let get = |arm, layer| {
+            cache
+                .attack_core(&KEY, arm, layer, || Some(c17_core()))
+                .expect("live build")
+        };
+        let prot4 = get(SplitArm::Protected, 4);
+        let orig4 = get(SplitArm::Original, 4);
+        let prot5 = get(SplitArm::Protected, 5);
+        assert!(!Arc::ptr_eq(&prot4, &orig4));
+        assert!(!Arc::ptr_eq(&prot4, &prot5));
+        assert!(Arc::ptr_eq(&prot4, &get(SplitArm::Protected, 4)));
+        assert_eq!(cache.core_stats().built, 3);
+        assert_eq!(cache.core_stats().reused, 1);
+    }
+
+    #[test]
+    fn first_core_arm_hands_out_the_unclaimed_arm() {
+        let cache = ArtifactCache::new();
+        assert_eq!(cache.first_core_arm(&KEY, 4), SplitArm::Protected);
+        assert_eq!(cache.first_core_arm(&KEY, 4), SplitArm::Original);
+        // Both claimed: back to the protected default.
+        assert_eq!(cache.first_core_arm(&KEY, 4), SplitArm::Protected);
+        // Another layer is its own pair of slots.
+        assert_eq!(cache.first_core_arm(&KEY, 5), SplitArm::Protected);
+    }
+
+    #[test]
+    fn release_drops_attack_cores_with_their_bundle() {
+        let cache = ArtifactCache::new();
+        cache.reserve(KEY, 1);
+        let other = BundleKey::Iscas {
+            name: "c17",
+            seed: 2,
+        };
+        let core = cache
+            .attack_core(&KEY, SplitArm::Protected, 4, || Some(c17_core()))
+            .expect("live build");
+        let _kept = cache.attack_core(&other, SplitArm::Protected, 4, || Some(c17_core()));
+        assert_eq!(Arc::strong_count(&core), 2, "the cache holds the core");
+        cache.release(&KEY);
+        assert_eq!(Arc::strong_count(&core), 1, "released with its bundle");
+        // A fresh request rebuilds; the unreleased bundle's core stays.
+        let _again = cache.attack_core(&KEY, SplitArm::Protected, 4, || Some(c17_core()));
+        let _hit = cache.attack_core(&other, SplitArm::Protected, 4, || Some(c17_core()));
+        assert_eq!(
+            cache.core_stats(),
+            CoreStats {
+                built: 3,
+                reused: 1
+            }
+        );
+    }
+
+    #[test]
+    fn cancelled_or_panicked_core_builds_are_not_kept() {
+        let cache = ArtifactCache::new();
+        let cancelled = cache.attack_core(&KEY, SplitArm::Original, 3, || None);
+        assert!(cancelled.is_none());
+        // A build that panics poisons the slot with no value in it.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.attack_core(&KEY, SplitArm::Original, 3, || panic!("build failed"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cache.core_stats(), CoreStats::default());
+        // The next live request builds and returns the core.
+        let live = cache.attack_core(&KEY, SplitArm::Original, 3, || Some(c17_core()));
+        assert_eq!(live.expect("live build").pairs, vec![(0, 1)]);
+        assert_eq!(cache.core_stats().built, 1);
     }
 
     #[test]

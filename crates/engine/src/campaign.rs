@@ -34,7 +34,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sm_attacks::crouting::{crouting_attack, CroutingConfig};
-use sm_attacks::proximity::{ccr_over_connections, network_flow_attack_budgeted, ProximityConfig};
+use sm_attacks::proximity::{
+    ccr_over_connections, ccr_vs_golden, flow_attack_core, flow_attack_eval, ProximityConfig,
+};
 use sm_core::flow::BaselineLayout;
 use sm_exec::fault::{Fault, FaultSite};
 use sm_exec::{Budget, PoolStats};
@@ -465,9 +467,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Measures one flow job, honoring the budget's token at the attack's
 /// phase boundaries: `None` means the deadline fired mid-job and the job
 /// must be recorded timed-out (a completed measurement is bit-identical
-/// whether or not a deadline was armed). The attack's candidate scoring
-/// fans out on `exec`, so in-job parallelism still respects the
-/// process-wide thread ceiling.
+/// whether or not a deadline was armed).
+///
+/// The seed-independent attack cores of both arms come from the cache
+/// ([`ArtifactCache::attack_core`]), so the jobs of a pinned-layout
+/// seed sweep share them; only the protected arm's OER/HD evaluation
+/// runs per job, because the report keeps nothing of the original arm
+/// but its CCR. The two cores are fetched under [`Budget::join`], the
+/// arm nobody has claimed yet first, each on half of `exec` — a job
+/// holding two threads builds both arms at once, a serial job builds
+/// them in claim order.
 fn flow_metrics(
     cache: &ArtifactCache,
     bundle: &Bundle,
@@ -486,6 +495,7 @@ fn flow_metrics(
     let key = job.bundle_key();
     let netlist = bundle.netlist();
     let protected = bundle.protected();
+    let original = bundle.original();
 
     let t = Instant::now();
     let split_prot = cache.split(&key, SplitArm::Protected, split_layer, || {
@@ -497,43 +507,62 @@ fn flow_metrics(
         )
     });
     phases.push(("split", ms_since(t)));
-    let mut rec = sm_exec::phase::Recorder::new();
-    let out = network_flow_attack_budgeted(
-        netlist,
-        &protected.randomization.erroneous,
-        &protected.placement,
-        &split_prot,
-        &cfg,
-        exec,
-        &mut rec,
-    )?;
-    phases.extend(rec.into_spans());
-    let swapped = bundle.swapped();
-    let ccr_protected = ccr_over_connections(&split_prot, &out.pairs, &swapped);
-
-    let original = bundle.original();
     let t = Instant::now();
     let split_orig = cache.split(&key, SplitArm::Original, split_layer, || {
         split_layout(netlist, &original.placement, &original.routing, split_layer)
     });
     phases.push(("split-original", ms_since(t)));
+
+    // Each arm's fetch reports its core (`None`: the token fired), its
+    // wall time including any wait on another job's build, and the
+    // core's phase spans when this fetch built it.
+    let half = exec.split(2);
+    let fetch = |arm: SplitArm| {
+        let (placed, split) = match arm {
+            SplitArm::Protected => (&protected.randomization.erroneous, &split_prot),
+            SplitArm::Original => (netlist, &split_orig),
+        };
+        let t = Instant::now();
+        let mut rec = sm_exec::phase::Recorder::new();
+        let core = cache.attack_core(&key, arm, split_layer, || {
+            flow_attack_core(placed, split, &cfg, &half, &mut rec)
+        });
+        (core, ms_since(t), rec)
+    };
+    let ((prot, prot_ms, prot_rec), (orig, orig_ms, _)) =
+        match cache.first_core_arm(&key, split_layer) {
+            SplitArm::Protected => {
+                exec.join(|| fetch(SplitArm::Protected), || fetch(SplitArm::Original))
+            }
+            SplitArm::Original => {
+                let (orig, prot) =
+                    exec.join(|| fetch(SplitArm::Original), || fetch(SplitArm::Protected));
+                (prot, orig)
+            }
+        };
+    phases.push(("attack-core", prot_ms));
+    // Only the protected arm's build spans are kept: the names would
+    // repeat for the original arm.
+    phases.extend(prot_rec.into_spans());
+    phases.push(("attack-core-original", orig_ms));
+    let (core_prot, core_orig) = (prot?, orig?);
+
+    // Last phase boundary before the OER/HD simulation (on superblue it
+    // is a multi-second stage of its own).
+    if exec.is_cancelled() {
+        return None;
+    }
     let t = Instant::now();
-    let out_orig = network_flow_attack_budgeted(
-        netlist,
-        netlist,
-        &original.placement,
-        &split_orig,
-        &cfg,
-        exec,
-        &mut sm_exec::phase::Recorder::new(),
-    )?;
-    phases.push(("attack-original", ms_since(t)));
+    let metrics = flow_attack_eval(netlist, &core_prot.recovered, &cfg);
+    phases.push(("attack-eval", ms_since(t)));
+    let ccr_protected = ccr_over_connections(&split_prot, &core_prot.pairs, &bundle.swapped());
+    let ccr_original = ccr_vs_golden(netlist, &split_orig, &core_orig.pairs);
 
     Some(JobMetrics::Flow {
         ccr_protected_pct: ccr_protected * 100.0,
-        oer_pct: out.metrics.oer * 100.0,
-        hd_pct: out.metrics.hd * 100.0,
-        ccr_original_pct: out_orig.ccr * 100.0,
+        oer_pct: metrics.oer * 100.0,
+        hd_pct: metrics.hd * 100.0,
+        ccr_original_pct: ccr_original * 100.0,
     })
 }
 

@@ -73,7 +73,7 @@ pub mod serve;
 pub mod store;
 
 pub use bundle::{iscas_selection, superblue_selection, IscasRun, StageSource, SuperblueRun};
-pub use cache::{ArtifactCache, BundleKey, CacheStats, SplitArm, StageStats};
+pub use cache::{ArtifactCache, BundleKey, CacheStats, CoreStats, SplitArm, StageStats};
 pub use campaign::{
     merge_reports, resume_campaign, run_job, run_sweep, run_sweep_budgeted, Campaign, JobMetrics,
     JobOutcome, SweepSpec,
@@ -89,7 +89,8 @@ pub use store::{
 
 #[cfg(test)]
 mod tests {
-    use super::campaign::{run_sweep, Campaign, SweepSpec};
+    use super::cache::{ArtifactCache, CoreStats};
+    use super::campaign::{merge_outcomes, run_sweep, run_sweep_budgeted, Campaign, SweepSpec};
     use super::job::AttackKind;
     use super::report::ReportOptions;
     use super::Budget;
@@ -129,6 +130,48 @@ mod tests {
         let parsed = crate::report::Json::parse(&ja).unwrap();
         let reparsed = Campaign::from_json(&parsed).unwrap();
         assert_eq!(reparsed.to_csv(ReportOptions::default()), ca);
+    }
+
+    /// A pinned-layout seed sweep builds one attack core per arm and
+    /// shares it across seeds, invisibly in the bytes: the 4-seed report
+    /// equals the four single-seed sweeps, each on its own cache, merged.
+    #[test]
+    fn pinned_seed_sweep_shares_cores_and_matches_single_seed_sweeps() {
+        let spec = SweepSpec {
+            seeds: vec![1, 2, 3, 4],
+            attacks: vec![AttackKind::NetworkFlow],
+            layout_seed: Some(7),
+            ..tiny_spec()
+        };
+        let cache = ArtifactCache::new();
+        // Four threads, two lanes: each job holds two threads, so the
+        // two arms' cores are fetched concurrently.
+        let pinned =
+            run_sweep_budgeted(&spec, &Budget::with_threads(Some(4)), &cache, None).unwrap();
+        assert_eq!(
+            cache.core_stats(),
+            CoreStats {
+                built: 2,
+                reused: 6
+            }
+        );
+        let mut singles = Vec::new();
+        for &seed in &spec.seeds {
+            let one = SweepSpec {
+                seeds: vec![seed],
+                ..spec.clone()
+            };
+            let cache = ArtifactCache::new();
+            let c = run_sweep_budgeted(&one, &Budget::with_threads(Some(1)), &cache, None).unwrap();
+            assert_eq!(cache.core_stats().built, 2);
+            singles.extend(c.outcomes);
+        }
+        let expected = pinned.to_json(ReportOptions::default()).render();
+        let merged = Campaign {
+            outcomes: merge_outcomes(&spec.jobs().unwrap(), Vec::new(), singles),
+            ..pinned
+        };
+        assert_eq!(merged.to_json(ReportOptions::default()).render(), expected);
     }
 
     /// Timing-inclusive reports carry the same job payloads plus
